@@ -49,19 +49,7 @@ def core_lexicon_text() -> str:
 
 def load_core_lexicon() -> Lexicon:
     """The bundled lexicon covering the story tasks and demo vocabulary."""
-    lex = load_lexicon(core_lexicon_text())
-    _install_print_names(lex)
-    return lex
-
-
-def _install_print_names(lex: Lexicon) -> None:
-    from .semantics import register_print_names
-
-    names = {}
-    for sense in lex.senses.values():
-        if sense.attr("print"):
-            names[sense.id] = sense.print_name
-    register_print_names(names)
+    return load_lexicon(core_lexicon_text())
 
 
 def fixture_path(name: str):

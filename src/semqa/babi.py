@@ -11,9 +11,16 @@ as failed) and audited (classified dataset errors are excluded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from .context import AnswerContent, ContextTracker, QueryConfig, item_receive_candidates
+from .context import (
+    AnswerContent,
+    ContextItem,
+    ContextTracker,
+    QueryConfig,
+    item_receive_candidates,
+    latest_match,
+)
 from .lexicon import Lexicon
 from .matcher import Matcher, tokenize
 from .nlg import RealizationRequest, realize_answer
@@ -45,18 +52,17 @@ class BabiRecord:
         return self.expected is not None
 
 
-@dataclass
-class TaskConfig:
+@dataclass(frozen=True)
+class TaskConfig(QueryConfig):
+    """The engine settings of a run: the answering flags of `QueryConfig`,
+    the parse flag `strict_take`, and `babi_last`, which cuts transfer
+    answers to their latest match as the bAbI datasets expect."""
+
+    # Never read.  Kept because the benchmark builds TaskConfig(task=...);
+    # it goes when the benchmark moves to a single engine config.
     task: int | None = None
     babi_last: bool = True
     strict_take: bool = False
-    strict_receive: bool = False
-    include_current_position: bool = True
-
-    def query_config(self) -> QueryConfig:
-        return QueryConfig(babi_last=self.babi_last,
-                           strict_receive=self.strict_receive,
-                           include_current_position=self.include_current_position)
 
 
 @dataclass
@@ -67,14 +73,9 @@ class RunResult:
     expected: str
     produced: str
     status: str                   # passed | failed | gigo
-    trace: str = ""
     support: tuple[int, ...] = ()
     classification: str | None = None
     explanation: str | None = None
-    detail: AnswerContent | None = None
-    all_bindings: list = field(default_factory=list)
-    all_support: list[int] = field(default_factory=list)
-    tracker: ContextTracker | None = None
 
 
 def parse_babi_file(document: str) -> list[list[BabiRecord]]:
@@ -169,8 +170,7 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
     matcher = Matcher(lexicon, strict_take=config.strict_take)
     results: list[RunResult] = []
     for story_id, story in enumerate(stories, start=1):
-        tracker = ContextTracker(lexicon, config.query_config())
-        line_to_item: dict[int, int] = {}
+        tracker = ContextTracker(lexicon, config)
         broken: str | None = None
         for rec in story:
             if not rec.is_question:
@@ -179,31 +179,22 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
                 try:
                     prop = matcher.parse_single(rec.text)
                     tracker.ingest(prop)
-                    line_to_item[rec.line_id] = len(tracker.items)
                 except Exception as exc:            # engine error; report on questions
                     broken = f"{type(exc).__name__}: {exc}"
                 continue
             result = RunResult(story_id, rec.line_id, rec.text,
                                rec.expected or "", "", "failed",
-                               support=rec.support, tracker=tracker)
+                               support=rec.support)
             if broken:
                 result.produced = f"<error: {broken}>"
                 result.explanation = broken
                 results.append(result)
                 continue
             try:
-                prop = matcher.parse_single(rec.text)
-                full_tracker = ContextTracker(lexicon, replace(
-                    tracker.config, babi_last=False))
-                full_tracker.items = tracker.items
-                full = full_tracker.answer_question(prop)
-                content = tracker.answer_question(prop)
-                result.detail = content
-                result.all_bindings = list(full.bindings)
-                result.all_support = list(full.support)
+                content = tracker.answer_question(matcher.parse_single(rec.text))
+                answer = latest_match(content) if config.babi_last else content
                 result.produced = realize_answer(
-                    RealizationRequest(content, mode="keyword"), lexicon)
-                result.trace = tracker.trace()
+                    RealizationRequest(answer, mode="keyword"), lexicon)
             except Exception as exc:
                 result.produced = f"<error: {type(exc).__name__}: {exc}>"
                 result.explanation = str(exc)
@@ -212,7 +203,8 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
             if answers_match(result.produced, result.expected):
                 result.status = "passed"
             else:
-                classification, explanation = audit_mismatch(result, lexicon)
+                classification, explanation = audit_mismatch(result, content,
+                                                              tracker.items)
                 if classification:
                     result.status = "gigo"
                     result.classification = classification
@@ -221,8 +213,10 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
     return results
 
 
-def audit_mismatch(result: RunResult, lexicon: Lexicon) -> tuple[str | None, str]:
-    """Classify a mismatch against the registered dataset-error rules.
+def audit_mismatch(result: RunResult, content: AnswerContent,
+                   items: list[ContextItem]) -> tuple[str | None, str]:
+    """Classify a mismatch against the registered dataset-error rules;
+    `content` is the untrimmed answer, `items` the story's context.
 
     G1: the expected answer matches an earlier transfer that a later
         give-equivalent supersedes (the dataset ignored the newer transfer).
@@ -231,20 +225,19 @@ def audit_mismatch(result: RunResult, lexicon: Lexicon) -> tuple[str | None, str
     """
     if result.status == "passed":
         return None, ""
-    if not result.all_bindings:
+    if not content.bindings:
         return None, "no matching context items; engine or data gap"
     produced_norm = normalize_answer(result.produced)
     expected_norm = normalize_answer(result.expected)
     heads = [normalize_answer(b.head()) if isinstance(b, Referent)
-             else normalize_answer(str(b)) for b in result.all_bindings]
+             else normalize_answer(str(b)) for b in content.bindings]
     if produced_norm not in heads:
         return None, "produced answer not among matched items; engine error"
     if expected_norm not in heads[:-1]:
         return None, "expected answer never matched in context; engine error"
-    last_index = result.all_support[-1] if result.all_support else None
-    tracker = result.tracker
-    if tracker is not None and last_index is not None:
-        item = tracker.items[last_index - 1]
+    last_index = content.support[-1] if content.support else None
+    if last_index is not None:
+        item = items[last_index - 1]
         gains = item_receive_candidates(item, strict=False)
         strict_gains = item_receive_candidates(item, strict=True)
         if gains and not strict_gains:
@@ -252,7 +245,7 @@ def audit_mismatch(result: RunResult, lexicon: Lexicon) -> tuple[str | None, str
                 f"latest gain (item #{last_index}) is a self-acquisition; "
                 f"the story supports {result.produced!r} even though the "
                 f"dataset expects {result.expected!r}")
-    earlier = [i for i, h in zip(result.all_support, heads) if h == expected_norm]
+    earlier = [i for i, h in zip(content.support, heads) if h == expected_norm]
     return "G1", (
         f"dataset answer comes from item #{earlier[-1]} but a later transfer "
         f"(item #{last_index}) supersedes it; all matches in order: "

@@ -14,19 +14,23 @@ import argparse
 import glob
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import fixture_path, load_core_lexicon
 from .babi import (
+    BabiFormatError,
+    ScoreReport,
     TaskConfig,
+    VocabularyGapError,
     check_vocabulary,
     export_csv,
     parse_babi_file,
     run_task,
     score,
 )
-from .context import ContextTracker, QueryConfig
-from .lexicon import load_lexicon
+from .context import ContextTracker, latest_match
+from .lexicon import LexiconError, load_lexicon
 from .matcher import MatchError, Matcher
 from .nlg import (
     RealizationRequest,
@@ -46,10 +50,7 @@ FIXTURE_FILES = {1: "task1.txt", 5: "task5.txt", 6: "task6.txt", 7: "task7.txt",
 def _load_lexicon(path: str | None):
     path = path or os.environ.get(LEXICON_ENV)
     if path:
-        lex = load_lexicon(Path(path).read_text("utf-8"))
-        from . import _install_print_names
-        _install_print_names(lex)
-        return lex
+        return load_lexicon(Path(path).read_text("utf-8"))
     return load_core_lexicon()
 
 
@@ -73,7 +74,6 @@ def _task_documents(args) -> list[tuple[str, str]]:
 
 def _config_from(args) -> TaskConfig:
     return TaskConfig(
-        task=args.task,
         babi_last=args.babi_last,
         strict_take=args.strict_take,
         strict_receive=args.strict_receive,
@@ -115,36 +115,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_score(args) -> int:
-    total = passed = gigo = failed = 0
     with open(args.csv, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("story_id"):
+        if not fh.readline().startswith("story_id"):
             raise SystemExit(f"{args.csv} is not a results file")
-        for line in fh:
-            status = line.rstrip("\n").rsplit(",", 1)[-1]
-            total += 1
-            if status == "passed":
-                passed += 1
-            elif status == "gigo":
-                gigo += 1
-            else:
-                failed += 1
-    if not total:
-        print("no rows")
-        return 0
-    audited = total - gigo
-    print(f"{passed}/{total} passed; strict {100 * passed / total:.1f}%"
-          + (f", audited {100 * passed / audited:.1f}%" if audited else "")
-          + f" ({gigo} gigo, {failed} failed)")
-    return 0 if failed == 0 else 1
+        statuses = Counter(line.rstrip("\n").rsplit(",", 1)[-1] for line in fh)
+    total, passed, gigo = sum(statuses.values()), statuses["passed"], statuses["gigo"]
+    report = ScoreReport(total, passed, total - passed - gigo, gigo)
+    print(report.summary())
+    return 0 if report.failed == 0 else 1
 
 
 def cmd_repl(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
-    matcher = Matcher(lexicon, strict_take=args.strict_take)
-    config = QueryConfig(babi_last=args.babi_last,
-                         strict_receive=args.strict_receive,
-                         include_current_position=args.include_current_position)
+    config = _config_from(args)
+    matcher = Matcher(lexicon, strict_take=config.strict_take)
     tracker = ContextTracker(lexicon, config)
     print("enter statements and questions; :trace shows context, :reset starts over, :quit exits")
     while True:
@@ -167,12 +151,14 @@ def cmd_repl(args) -> int:
             prop = matcher.parse_single(line)
             if prop.operators.force == "question":
                 content = tracker.answer_question(prop)
+                if config.babi_last:
+                    content = latest_match(content)
                 req = RealizationRequest(content, mode=args.mode,
                                          style=args.polar_style)
                 print(realize_answer(req, lexicon))
             else:
                 tracker.ingest(prop)
-                print(f"  + {tracker.items[-1].trace_line()}")
+                print(f"  + {tracker.items[-1].trace_line(lexicon)}")
         except Exception as exc:
             print(f"! {type(exc).__name__}: {exc}")
 
@@ -288,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatchError,) as exc:
+    except (MatchError, BabiFormatError, VocabularyGapError, LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ coexists with the history it negates.  Questions intersect the stored items
 against their own logical structure: present-tense position questions
 return the latest still-valid element, past tense returns the list.
 Possession questions replay the have' ledger; transfer questions collect
-every matching item in context order.
+every matching item in context order (`latest_match` keeps only the last,
+as the bAbI datasets expect).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass, field, replace
 from .lexicon import Lexicon
 from .matcher import Proposition
 from .semantics import (
+    ANY_POSITION_PRED,
+    POSITION_PREDS,
     Activity,
     Linked,
     OperatorSet,
@@ -29,7 +32,8 @@ from .semantics import (
     walk_referents,
 )
 
-POSITION_PREDS = {"p:be-in", "p:be-on", "p:be-at", "p:be-LOC"}
+# positional predicates, the unresolved be-LOC of a question included
+_POSITION_PREDS = POSITION_PREDS | {ANY_POSITION_PRED}
 
 
 class ContextError(Exception):
@@ -51,13 +55,13 @@ class ContextItem:
     operators: OperatorSet
     source: str
 
-    def trace_line(self) -> str:
-        return f"#{self.index} [{self.operators.describe()}] {render(self.ls)} :: {self.source}"
+    def trace_line(self, lexicon: Lexicon | None = None) -> str:
+        return (f"#{self.index} [{self.operators.describe()}] "
+                f"{render(self.ls, lexicon)} :: {self.source}")
 
 
 @dataclass(frozen=True)
 class QueryConfig:
-    babi_last: bool = False
     strict_receive: bool = False
     include_current_position: bool = True
 
@@ -66,7 +70,7 @@ class QueryConfig:
 class AnswerContent:
     """Matched content handed to the language generator."""
 
-    kind: str                       # polar | content | count | list
+    kind: str                       # polar | content | transfer | count | list
     polarity: str | None = None     # yes | no
     bindings: list = field(default_factory=list)
     focus: str | None = None
@@ -142,7 +146,7 @@ class ContextTracker:
         return len(self.items)
 
     def trace(self) -> str:
-        return "\n".join(item.trace_line() for item in self.items)
+        return "\n".join(item.trace_line(self.lexicon) for item in self.items)
 
     # -- ingestion -------------------------------------------------------
 
@@ -194,7 +198,7 @@ class ContextTracker:
         found = []
 
         def walk(term):
-            if isinstance(term, State) and term.pred in POSITION_PREDS:
+            if isinstance(term, State) and term.pred in _POSITION_PREDS:
                 if isinstance(term.arg1, Referent) and isinstance(term.arg2, Referent):
                     found.append(term)
             elif isinstance(term, Wrapped) and term.op != "NOT":
@@ -316,14 +320,14 @@ class ContextTracker:
             return self._answer_count(ls, ops)
         if not queries:
             return self._answer_polar(ls, ops)
-        if focus == "who" and isinstance(ls, State) and ls.pred in POSITION_PREDS:
+        if focus == "who" and isinstance(ls, State) and ls.pred in _POSITION_PREDS:
             return self._answer_who_position(ls, ops)
         if focus == "what" and isinstance(ls, State) and ls.pred == "p:have":
             return self._answer_holding_list(ls, ops)
         if self._is_transfer_query(ls):
             return self._answer_transfer(ls, ops, focus)
         raise UnsupportedQuestionError(
-            f"no matching frame class for {render(ls)}")
+            f"no matching frame class for {render(ls, self.lexicon)}")
 
     def _answer_where(self, ls, ops: OperatorSet) -> AnswerContent:
         if not isinstance(ls, State):
@@ -349,7 +353,7 @@ class ContextTracker:
             support=[e.index for e in entries])
 
     def _answer_polar(self, ls, ops: OperatorSet) -> AnswerContent:
-        if isinstance(ls, State) and ls.pred in POSITION_PREDS:
+        if isinstance(ls, State) and ls.pred in _POSITION_PREDS:
             entity = ls.arg2
             cur = self.current_position(entity)
             yes = cur is not None and _same_location(cur.state, ls)
@@ -464,10 +468,17 @@ class ContextTracker:
                     support.append(item.index)
         topic = next((r for r in walk_referents(ls)
                       if r.kind in ("entity", "bundle")), None)
-        if self.config.babi_last and bindings:
-            bindings, support = [bindings[-1]], [support[-1]]
-        return AnswerContent("content", bindings=bindings, focus=focus,
+        return AnswerContent("transfer", bindings=bindings, focus=focus,
                              echo=ops, topic=topic, support=support)
+
+
+def latest_match(content: AnswerContent) -> AnswerContent:
+    """A transfer answer cut to its latest match, the bAbI convention;
+    any other answer unchanged."""
+    if content.kind != "transfer" or not content.bindings:
+        return content
+    return replace(content, bindings=content.bindings[-1:],
+                   support=content.support[-1:])
 
 
 def item_receive_candidates(item: ContextItem, strict: bool) -> list[HaveEvent]:
@@ -494,7 +505,6 @@ def _same_location(a: State, b: State) -> bool:
     loc_a, loc_b = a.arg1, b.arg1
     if not (isinstance(loc_a, Referent) and isinstance(loc_b, Referent)):
         return False
-    preds_ok = (a.pred == b.pred
-                or "p:be-LOC" in (a.pred, b.pred))
+    preds_ok = a.pred == b.pred or ANY_POSITION_PRED in (a.pred, b.pred)
     return preds_ok and loc_a.kind == "entity" and loc_b.kind == "entity" \
         and loc_a.sense == loc_b.sense

@@ -140,9 +140,6 @@ class Lexicon:
         except KeyError:
             raise LexiconError(f"unknown sense {sense_id!r}") from None
 
-    def relations_from(self, sense_id: str, kind: str) -> list[str]:
-        return list(self._rel_index.get((sense_id, kind), []))
-
     def holds_category(self, sense_id: str, category: str) -> bool:
         """True when `sense_id` reaches `category` via zero or more is-a edges.
 

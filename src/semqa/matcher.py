@@ -87,9 +87,6 @@ class Element:
     bundle_members: list["Element"] = field(default_factory=list)
     ls: object | None = None     # frozen once a predication fills it
 
-    def has_attr(self, a: str) -> bool:
-        return a in self.attributes
-
     def attr(self, key: str):
         return attr_value(self.attributes, key)
 
@@ -129,12 +126,6 @@ class Element:
             s in lexicon and lexicon.sense(s).category == "modifier"
             and "vacuous" in lexicon.sense(s).attributes
             for s in self.sense_ids())
-
-    def describe(self) -> str:
-        bits = [self.surface]
-        if self.labels:
-            bits.append("labels=" + ",".join(sorted(self.labels)))
-        return " ".join(bits)
 
 
 @dataclass(frozen=True)
@@ -741,9 +732,8 @@ class Matcher:
                     f"{ref.head()} does not fit role {name!r} of {sense_id!r}")
             qualia_used = qualia_used or via_qualia
 
-        if "wants-up" in sense.attributes and "particle-done" not in verb.attributes:
-            raise MeaninglessError(f"{sense_id!r} needs its particle")
-        if "wants-down" in sense.attributes and "particle-done" not in verb.attributes:
+        if ({"wants-up", "wants-down"} & sense.attributes
+                and "particle-done" not in verb.attributes):
             raise MeaninglessError(f"{sense_id!r} needs its particle")
 
         if template == "motion":

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-TENSES = ("past", "present", "future")
-POSITION_PREDS = ("p:be-in", "p:be-on", "p:be-at")
+POSITION_PREDS = frozenset({"p:be-in", "p:be-on", "p:be-at"})
 ANY_POSITION_PRED = "p:be-LOC"
 HAVE_PRED = "p:have"
 
@@ -36,9 +35,6 @@ class OperatorSet:
     force: str = "statement"           # statement | question | imperative
     person: int = 3
     number: str = "singular"           # singular | plural
-    definiteness: Optional[str] = None
-    deixis: str = "none"               # proximal | distal | none
-    modality: Optional[str] = None
 
     def with_(self, **kw) -> "OperatorSet":
         return replace(self, **kw)
@@ -164,43 +160,42 @@ class Linked:
 
 LogicalStructure = Term
 
-_PRINT_NAMES: dict[str, str] = {}
-
-
-def register_print_names(names: dict[str, str]):
-    """Install sense-id -> render-name mapping (taken from the lexicon)."""
-    _PRINT_NAMES.update(names)
-
-
-def pred_name(pred: str) -> str:
-    if pred in _PRINT_NAMES:
-        return _PRINT_NAMES[pred]
+def pred_name(pred: str, lexicon=None) -> str:
+    """The lexicon's print name for a predicate sense (e.g. p:eat-chew ->
+    eat); without a lexicon, or for an unknown sense, the id's tail."""
+    sense = lexicon.senses.get(pred) if lexicon is not None else None
+    if sense is not None:
+        return sense.print_name
     _, _, tail = pred.partition(":")
     return tail or pred
 
 
-def render(term: Arg) -> str:
+def render(term: Arg, lexicon=None) -> str:
     """Canonical text form, e.g.
-    do'(mary,[go'(mary)]) & INGR be-in'(the kitchen,mary)."""
+    do'(mary,[go'(mary)]) & INGR be-in'(the kitchen,mary).
+    Predicate names come from `lexicon` when one is given."""
     if isinstance(term, Referent):
         return term.render()
     if isinstance(term, State):
-        return f"{pred_name(term.pred)}'({render(term.arg1)},{render(term.arg2)})"
+        return (f"{pred_name(term.pred, lexicon)}'({render(term.arg1, lexicon)},"
+                f"{render(term.arg2, lexicon)})")
     if isinstance(term, Activity):
         actor = render(term.actor)
         if term.pred is None:
             return f"do'({actor},0)"
+        name = pred_name(term.pred, lexicon)
         if term.undergoer is not None:
-            return f"do'({actor},[{pred_name(term.pred)}'({actor},{render(term.undergoer)})])"
-        return f"do'({actor},[{pred_name(term.pred)}'({actor})])"
+            return f"do'({actor},[{name}'({actor},{render(term.undergoer)})])"
+        return f"do'({actor},[{name}'({actor})])"
     if isinstance(term, Wrapped):
-        return f"{term.op} {render(term.inner)}"
+        return f"{term.op} {render(term.inner, lexicon)}"
     if isinstance(term, Linked):
+        left, right = render(term.left, lexicon), render(term.right, lexicon)
         if term.link == "CAUSE":
-            return f"[{render(term.left)}] CAUSE [{render(term.right)}]"
+            return f"[{left}] CAUSE [{right}]"
         if term.link == "conj":
-            return f"{render(term.left)} ∧ {render(term.right)}"
-        return f"{render(term.left)} & {render(term.right)}"
+            return f"{left} ∧ {right}"
+        return f"{left} & {right}"
     raise SemanticsError(f"cannot render {term!r}")
 
 
@@ -310,10 +305,6 @@ def _preds_compatible(lexicon, qpred: str, ipred: str) -> bool:
         except Exception:
             return False
     return False
-
-
-class _Bindings(dict):
-    pass
 
 
 def _bind(bindings: dict, focus: str, value) -> bool:

@@ -227,11 +227,11 @@ def test_criterion_4f_particle_split(lex, matcher):
 
 def test_criterion_4g_wsd_and_qualia(lex, matcher):
     chew = matcher.parse_single("the girl ate the sandwich")
-    assert render(chew.ls) == "do'(the girl,[eat'(the girl,the sandwich)])"
+    assert render(chew.ls, lex) == "do'(the girl,[eat'(the girl,the sandwich)])"
     with pytest.raises(MeaninglessError):
         matcher.parse_single("the girl ate the mountain")
     erode = matcher.parse_single("the wind ate the mountain")
-    assert render(erode.ls) == "do'(the wind,[erode'(the wind,the mountain)])"
+    assert render(erode.ls, lex) == "do'(the wind,[erode'(the wind,the mountain)])"
     car = matcher.parse_single("Mary started the car")
     assert render(car.ls) == "do'(mary,[start'(mary,the car)])"
     report("4g", True, "sense selection accepts girl/sandwich and wind/mountain, "

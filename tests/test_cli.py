@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from semqa.cli import main
+import semqa
+from semqa.cli import _load_lexicon, main
+from semqa.semantics import render
 
 
 def test_run_fixtures_task1(capsys, tmp_path, monkeypatch):
@@ -74,3 +76,41 @@ def test_repl_session(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "In the kitchen." in out
     assert "be-in'(the kitchen,mary)" in out
+
+
+def test_repl_babi_last_keeps_latest_transfer(monkeypatch, capsys):
+    lines = iter(["Bill handed the apple to Jeff.", "Bill passed the football to Jeff.",
+                  "What did Bill give to Jeff?", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda _="": next(lines))
+    assert main(["repl", "--babi-last"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "The football."
+
+
+def test_loading_a_second_lexicon_leaves_rendering_alone(tmp_path, lex, matcher):
+    path = tmp_path / "munch.lex"
+    path.write_text(semqa.core_lexicon_text().replace("print=eat}", "print=munch}"),
+                    "utf-8")
+    other = _load_lexicon(str(path))
+    ls = matcher.parse_single("The girl ate the sandwich.").ls
+    assert render(ls, lex) == "do'(the girl,[eat'(the girl,the sandwich)])"
+    assert render(ls, other) == "do'(the girl,[munch'(the girl,the sandwich)])"
+
+
+def test_malformed_task_line_is_an_error_not_a_traceback(tmp_path, capsys):
+    (tmp_path / "qa2_test.txt").write_text("1 Mary went to the kitchen.\nWhere is Mary?\n")
+    assert main(["run", "--task", "2", "--data", str(tmp_path)]) == 2
+    assert "error: line 2: malformed line" in capsys.readouterr().err
+
+
+def test_vocabulary_gap_is_an_error_not_a_traceback(tmp_path, capsys):
+    (tmp_path / "qa2_test.txt").write_text(
+        "1 Mary frobnicated the gizmo.\n2 Where is Mary?\tnowhere\t1\n")
+    assert main(["run", "--task", "2", "--data", str(tmp_path)]) == 2
+    assert "error: vocabulary gaps: frobnicated, gizmo" in capsys.readouterr().err
+
+
+def test_bad_lexicon_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "bad.lex"
+    path.write_text("sense p:x frobnicate {}\n")
+    assert main(["run", "--task", "1", "--fixtures", "--lexicon", str(path)]) == 2
+    assert "error: line 1: category must be one of" in capsys.readouterr().err

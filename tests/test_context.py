@@ -8,6 +8,7 @@ from semqa.context import (
     PronounResolutionError,
     UnsupportedQuestionError,
     have_events,
+    latest_match,
 )
 from semqa.semantics import bundle, entity, render
 
@@ -237,23 +238,23 @@ def test_transfer_answers_all_matches_by_default(lex, matcher):
 
 
 def test_babi_last_returns_latest_match(lex, matcher):
-    t = ingest_all(matcher, make_tracker(lex, babi_last=True), [
+    t = ingest_all(matcher, make_tracker(lex), [
         "Bill handed the apple to Jeff.", "Bill passed the football to Jeff."])
-    content = answer(matcher, t, "What did Bill give to Jeff?")
+    content = latest_match(answer(matcher, t, "What did Bill give to Jeff?"))
     assert [b.sense for b in content.bindings] == ["r:football"]
 
 
 def test_receive_includes_self_acquisition(lex, matcher):
-    t = ingest_all(matcher, make_tracker(lex, babi_last=True), [
+    t = ingest_all(matcher, make_tracker(lex), [
         "Fred gave the football to Mary.", "Bill took the football there."])
-    content = answer(matcher, t, "Who received the football?")
+    content = latest_match(answer(matcher, t, "Who received the football?"))
     assert [b.sense for b in content.bindings] == ["r:bill"]
 
 
 def test_strict_receive_requires_transfer_source(lex, matcher):
-    t = ingest_all(matcher, make_tracker(lex, babi_last=True, strict_receive=True), [
+    t = ingest_all(matcher, make_tracker(lex, strict_receive=True), [
         "Fred gave the football to Mary.", "Bill took the football there."])
-    content = answer(matcher, t, "Who received the football?")
+    content = latest_match(answer(matcher, t, "Who received the football?"))
     assert [b.sense for b in content.bindings] == ["r:mary"]
 
 

@@ -83,11 +83,11 @@ def snapshot_story(lex, matcher, story, results) -> list[str]:
         try:
             prop = matcher.parse_single(rec.text)
             ops = prop.operators
-            lines.append(f"    ls: {render(prop.ls)} [{ops.describe()};"
+            lines.append(f"    ls: {render(prop.ls, lex)} [{ops.describe()};"
                          f"{ops.person},{ops.number}]")
             content = tracker.answer_question(prop)
             lines.append(f"    matches: {content.polarity} "
-                         + " | ".join(f"{render(b)}@{s}" for b, s in zip(
+                         + " | ".join(f"{render(b, lex)}@{s}" for b, s in zip(
                              content.bindings, content.support))
                          + f" support={content.support}")
             lines.append("    natural: " + realize_answer(

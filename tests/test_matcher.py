@@ -114,9 +114,9 @@ def test_operators_inconsistent_chain(matcher):
 
 # -- predication --------------------------------------------------------------
 
-def test_wsd_girl_sandwich_selects_chew(matcher):
+def test_wsd_girl_sandwich_selects_chew(lex, matcher):
     prop = parse(matcher, "the girl ate the sandwich")
-    assert render(prop.ls) == "do'(the girl,[eat'(the girl,the sandwich)])"
+    assert render(prop.ls, lex) == "do'(the girl,[eat'(the girl,the sandwich)])"
 
 
 def test_wsd_girl_mountain_is_meaningless(matcher):
@@ -124,9 +124,9 @@ def test_wsd_girl_mountain_is_meaningless(matcher):
         parse(matcher, "the girl ate the mountain")
 
 
-def test_wsd_wind_mountain_selects_erode(matcher):
+def test_wsd_wind_mountain_selects_erode(lex, matcher):
     prop = parse(matcher, "the wind ate the mountain")
-    assert render(prop.ls) == "do'(the wind,[erode'(the wind,the mountain)])"
+    assert render(prop.ls, lex) == "do'(the wind,[erode'(the wind,the mountain)])"
 
 
 def test_qualia_fallback_started_car(matcher):

@@ -215,7 +215,7 @@ def test_synthetic_tasks_agree_with_simulator(lex):
         report = score(results)
         questions += report.total
         assert report.strict_accuracy == 1.0, (
-            task, [(r.question, r.produced, r.expected, r.trace)
+            task, [(r.question, r.produced, r.expected, r.explanation)
                    for r in results if r.status != "passed"][:3])
     elapsed = time.time() - started
     # the full-dataset budget is 10k lines in under a minute
