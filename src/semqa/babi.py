@@ -125,13 +125,8 @@ def story_vocabulary(stories: list[list[BabiRecord]]) -> set[str]:
 
 def check_vocabulary(lexicon: Lexicon, stories: list[list[BabiRecord]]) -> list[str]:
     """Words with no form link and no literal phrase claiming them."""
-    literal_words: set[str] = set()
-    for rec in lexicon.phrase_records:
-        if rec.kind == "literal":
-            for sel in rec.selectors:
-                key, _, value = sel.partition("=")
-                if key == "word":
-                    literal_words.add(value)
+    literal_words = {value for rec in lexicon.phrase_records if rec.kind == "literal"
+                     for sel in rec.selectors for key, value in sel if key == "word"}
     missing = []
     for word in sorted(story_vocabulary(stories)):
         if not lexicon.senses_of(word) and word not in literal_words:

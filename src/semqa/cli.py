@@ -49,9 +49,20 @@ FIXTURE_FILES = {1: "task1.txt", 5: "task5.txt", 6: "task6.txt", 7: "task7.txt",
 
 def _load_lexicon(path: str | None):
     path = path or os.environ.get(LEXICON_ENV)
-    if path:
-        return load_lexicon(Path(path).read_text("utf-8"))
-    return load_core_lexicon()
+    if not path:
+        return load_core_lexicon()
+    try:
+        text = Path(path).read_text("utf-8")
+    except OSError as exc:
+        raise LexiconError(f"cannot read lexicon {path}: {exc.strerror}") from None
+    return load_lexicon(text)
+
+
+def _parse_document(label: str, document: str):
+    try:
+        return parse_babi_file(document)
+    except BabiFormatError as exc:
+        raise BabiFormatError(f"{label}: {exc}") from None
 
 
 def _task_documents(args) -> list[tuple[str, str]]:
@@ -87,7 +98,7 @@ def cmd_run(args) -> int:
     exit_code = 0
     documents = _task_documents(args)
     for label, document in documents:
-        stories = parse_babi_file(document)
+        stories = _parse_document(label, document)
         results = run_task(stories, lexicon, config)
         report = score(results)
         print(f"task {args.task} [{label}]: {report.summary()}")
@@ -198,7 +209,7 @@ def cmd_lexicon_check(args) -> int:
     documents = _task_documents(args)
     missing_all: set[str] = set()
     for label, document in documents:
-        stories = parse_babi_file(document)
+        stories = _parse_document(label, document)
         missing = check_vocabulary(lexicon, stories)
         if missing:
             print(f"{label}: missing {len(missing)} words: " + ", ".join(missing))

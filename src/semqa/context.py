@@ -251,7 +251,7 @@ class ContextTracker:
         """Replay the have' ledger; returns [(object, held-now, events)].
 
         Dropping something never picked up is a story inconsistency: it is
-        recorded as a diagnostic, not a crash.
+        recorded once as a diagnostic, not a crash.
         """
         ledger: list[list] = []   # [obj referent, held flag, events]
         for item in self.items:
@@ -273,9 +273,10 @@ class ContextTracker:
                     row[1] = True
                 else:
                     if not row[1]:
-                        self.diagnostics.append(
-                            f"item #{item.index}: {holder.head()} loses "
-                            f"{ev.obj.head()} without holding it (story inconsistency)")
+                        note = (f"item #{item.index}: {holder.head()} loses "
+                                f"{ev.obj.head()} without holding it (story inconsistency)")
+                        if note not in self.diagnostics:   # asked again: noted once
+                            self.diagnostics.append(note)
                     row[1] = False
                 row[2].append((item.index, "+" if ev.positive else "-"))
         return [(obj, held, events) for obj, held, events in ledger]

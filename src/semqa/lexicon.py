@@ -5,16 +5,19 @@ Senses carry one of three semantic universals (referent / predicate /
 modifier) -- never parts of speech -- plus attribute sets, semantic
 relations (is-a, has-a, entails, does-x-*) and selectional frames used for
 word-sense disambiguation.  Phrase pattern records live in the same file
-format but are compiled by the matcher.
+format; this module is the only one that knows it.
 
-The lexicon is immutable once loaded and safe to share across threads;
-building is single-writer.
+`load_lexicon` parses and validates every record, selectors and retain
+indices included, and computes the derived tables (relation index, is-a
+closure, entails bases) once.  A malformed record fails at load with the line that
+holds it, never later when a sentence reaches it.  Nothing changes after
+load, so a lexicon is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CATEGORIES = ("referent", "predicate", "modifier")
 RELATION_KINDS = ("is-a", "has-a", "entails", "does-x-actor", "does-x-undergoer")
@@ -23,6 +26,8 @@ ROLE_NAMES = ("actor", "undergoer", "destination", "source", "recipient")
 DIMENSIONALITY = {"enclosure": "in", "surface": "on", "locale": "at"}
 # banned part-of-speech vocabulary; the model uses semantic universals only
 POS_TAGS = frozenset({"noun", "verb", "adjective", "adverb"})
+# keys of a phrase selector condition `key=value`
+SELECTOR_KEYS = ("word", "sense", "not-sense", "cat", "reach", "attr", "not-attr", "any")
 
 
 class LexiconError(Exception):
@@ -90,23 +95,22 @@ class SelectionalFrame:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhraseRecord:
-    """Raw `phrase` record; compiled into a pattern by the matcher."""
+    """A parsed `phrase` record; the matcher applies it as it stands."""
 
     id: str
     kind: str              # literal | consolidation | predication
     trigger: str
-    selectors: list[str] = field(default_factory=list)
-    retain: str | None = None
+    # one tuple of (key, value) conditions per window element
+    selectors: tuple[tuple[tuple[str, str], ...], ...] = ()
+    retain: int | str | None = None     # 1-based window index or "bundle"
     float_indices: tuple[int, ...] = ()
-    labels: dict[int, str] = field(default_factory=dict)
+    labels: tuple[tuple[int, str], ...] = ()
     ops: tuple[str, ...] = ()
     attrs: tuple[str, ...] = ()
     emit: str | None = None
-    frame: str | None = None
     template: str | None = None
-    line: int = 0
 
 
 class Lexicon:
@@ -120,7 +124,10 @@ class Lexicon:
         self.frames: dict[str, SelectionalFrame] = {}
         self.phrase_records: list[PhraseRecord] = []
         self._rel_index: dict[tuple[str, str], list[str]] = {}
-        self._reach_cache: dict[tuple[str, str], bool] = {}
+        # sense -> every sense it reaches via zero or more is-a edges
+        self._isa: dict[str, frozenset[str]] = {}
+        # sense -> last sense of its entails chain
+        self._entails_base: dict[str, str] = {}
 
     def __len__(self):
         return len(self.senses)
@@ -150,24 +157,7 @@ class Lexicon:
             return self.sense(sense_id).category == category
         if sense_id not in self.senses or category not in self.senses:
             raise LexiconError(f"unknown identifier in {sense_id!r} -> {category!r}")
-        key = (sense_id, category)
-        cached = self._reach_cache.get(key)
-        if cached is not None:
-            return cached
-        seen = set()
-        stack = [sense_id]
-        found = False
-        while stack:
-            cur = stack.pop()
-            if cur == category:
-                found = True
-                break
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._rel_index.get((cur, "is-a"), ()))
-        self._reach_cache[key] = found
-        return found
+        return category in self._isa[sense_id]
 
     def selectional_fit(self, frame: SelectionalFrame, role: str, filler: str) -> bool:
         """Does `filler` satisfy the category restriction of `role`?"""
@@ -189,16 +179,18 @@ class Lexicon:
                 out.append((target, kind))
         return out
 
-    def entails_base(self, sense_id: str) -> str:
-        """Follow entails edges to the most general predicate (e.g. journey -> go)."""
-        cur = sense_id
-        seen = {cur}
+    def _entails_chain(self, sense_id: str) -> list[str]:
+        """`sense_id`, then each first entails target in turn, up to a repeat."""
+        chain = [sense_id]
         while True:
-            nxt = self._rel_index.get((cur, "entails"))
-            if not nxt or nxt[0] in seen:
-                return cur
-            cur = nxt[0]
-            seen.add(cur)
+            nxt = self._rel_index.get((chain[-1], "entails"))
+            if not nxt or nxt[0] in chain:
+                return chain
+            chain.append(nxt[0])
+
+    def entails_base(self, sense_id: str) -> str:
+        """The most general predicate along entails edges (e.g. journey -> go)."""
+        return self._entails_base.get(sense_id, sense_id)
 
     def entails_related(self, a: str, b: str) -> bool:
         if a == b:
@@ -207,17 +199,8 @@ class Lexicon:
 
     def frame_for(self, sense_id: str) -> SelectionalFrame | None:
         """Frame of the sense, falling back along entails edges."""
-        cur = sense_id
-        seen = set()
-        while cur not in seen:
-            seen.add(cur)
-            if cur in self.frames:
-                return self.frames[cur]
-            nxt = self._rel_index.get((cur, "entails"))
-            if not nxt:
-                return None
-            cur = nxt[0]
-        return None
+        return next((self.frames[s] for s in self._entails_chain(sense_id)
+                     if s in self.frames), None)
 
     def dimensionality_of(self, sense_id: str) -> str | None:
         sense = self.sense(sense_id)
@@ -294,30 +277,32 @@ class Lexicon:
                     raise LexiconError(
                         f"frame {frame.predicate!r} role {r.name!r} references "
                         f"unknown category {r.category!r}")
-        self._check_isa_acyclic()
         for sense in self.senses.values():
             dims = [d for d in DIMENSIONALITY if d in sense.attributes]
             if len(dims) > 1:
                 raise LexiconError(f"{sense.id!r} carries multiple dimensionality classes")
 
-    def _check_isa_acyclic(self):
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {s: WHITE for s in self.senses}
+    def _isa_closure(self) -> dict[str, frozenset[str]]:
+        """Reflexive is-a closure of every sense; rejects cycles."""
+        closure: dict[str, frozenset[str]] = {}
+        open_nodes: set[str] = set()
 
-        def visit(node):
-            color[node] = GREY
-            for nxt in self._rel_index.get((node, "is-a"), ()):
-                if nxt not in color:
-                    continue
-                if color[nxt] == GREY:
-                    raise LexiconError(f"is-a cycle through {nxt!r}")
-                if color[nxt] == WHITE:
-                    visit(nxt)
-            color[node] = BLACK
+        def reach(node: str) -> frozenset[str]:
+            if node in closure:
+                return closure[node]
+            if node in open_nodes:
+                raise LexiconError(f"is-a cycle through {node!r}")
+            open_nodes.add(node)
+            out = {node}
+            for parent in self._rel_index.get((node, "is-a"), ()):
+                out |= reach(parent)
+            open_nodes.discard(node)
+            closure[node] = frozenset(out)
+            return closure[node]
 
-        for s in list(color):
-            if color[s] == WHITE:
-                visit(s)
+        for sense_id in self.senses:
+            reach(sense_id)
+        return closure
 
     # -- serialization --------------------------------------------------
 
@@ -355,21 +340,19 @@ class Lexicon:
 
 def _render_phrase_record(rec: PhraseRecord) -> str:
     parts = [f"phrase {rec.id} {rec.kind} trigger={rec.trigger}"]
-    parts.extend(f"sel:{s}" for s in rec.selectors)
+    parts.extend("sel:" + "&".join(f"{k}={v}" for k, v in sel) for sel in rec.selectors)
     if rec.retain is not None:
         parts.append(f"retain={rec.retain}")
     if rec.float_indices:
         parts.append("float=" + ",".join(str(i) for i in rec.float_indices))
     if rec.labels:
-        parts.append("labels=" + ",".join(f"{i}:{v}" for i, v in sorted(rec.labels.items())))
+        parts.append("labels=" + ",".join(f"{i}:{v}" for i, v in sorted(rec.labels)))
     if rec.ops:
         parts.append("ops=" + ",".join(rec.ops))
     if rec.attrs:
         parts.append("attrs=" + ",".join(rec.attrs))
     if rec.emit:
         parts.append(f"emit={rec.emit}")
-    if rec.frame:
-        parts.append(f"frame={rec.frame}")
     if rec.template:
         parts.append(f"template={rec.template}")
     return " ".join(parts)
@@ -385,41 +368,56 @@ def _parse_attrs(token: str, line: int) -> frozenset[str]:
     return frozenset(a.strip() for a in body.split(",") if a.strip())
 
 
+def _parse_selector(spec: str, line: int) -> tuple[tuple[str, str], ...]:
+    conditions = []
+    for part in spec.split("&"):
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise LexiconError(f"bad selector condition {part!r}", line)
+        if key not in SELECTOR_KEYS:
+            raise LexiconError(f"unknown selector key {key!r}", line)
+        conditions.append((key, value))
+    return tuple(conditions)
+
+
 def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
     if len(parts) < 3:
         raise LexiconError("phrase record needs id and kind", line)
-    rec = PhraseRecord(id=parts[1], kind=parts[2], trigger="", line=line)
-    if rec.kind not in ("literal", "consolidation", "predication"):
-        raise LexiconError(f"unknown phrase kind {rec.kind!r}", line)
-    for tok in parts[3:]:
-        if tok.startswith("sel:"):
-            rec.selectors.append(tok[4:])
-        elif tok.startswith("trigger="):
-            rec.trigger = tok[8:]
-        elif tok.startswith("retain="):
-            rec.retain = tok[7:]
-        elif tok.startswith("float="):
-            rec.float_indices = tuple(int(i) for i in tok[6:].split(",") if i)
-        elif tok.startswith("labels="):
-            body = tok[7:]
-            if body:
-                for item in body.split(","):
-                    idx, _, label = item.partition(":")
-                    rec.labels[int(idx)] = label
-        elif tok.startswith("ops="):
-            rec.ops = tuple(o for o in tok[4:].split(",") if o)
-        elif tok.startswith("attrs="):
-            rec.attrs = tuple(a for a in tok[6:].split(",") if a)
-        elif tok.startswith("emit="):
-            rec.emit = tok[5:]
-        elif tok.startswith("frame="):
-            rec.frame = tok[6:]
-        elif tok.startswith("template="):
-            rec.template = tok[9:]
-        else:
-            raise LexiconError(f"unknown phrase field {tok!r}", line)
-    if not rec.trigger:
+    pid, kind = parts[1], parts[2]
+    if kind not in ("literal", "consolidation", "predication"):
+        raise LexiconError(f"unknown phrase kind {kind!r}", line)
+    selectors = []
+    fields: dict[str, object] = {}
+    try:
+        for tok in parts[3:]:
+            name, _, value = tok.partition("=")
+            if tok.startswith("sel:"):
+                selectors.append(_parse_selector(tok[4:], line))
+            elif name in ("trigger", "emit", "template"):
+                fields[name] = value
+            elif name in ("ops", "attrs"):
+                fields[name] = tuple(v for v in value.split(",") if v)
+            elif name == "retain":
+                fields[name] = value if value == "bundle" else int(value)
+            elif name == "float":
+                fields["float_indices"] = tuple(int(i) for i in value.split(",") if i)
+            elif name == "labels":
+                pairs = (item.partition(":") for item in value.split(",") if item)
+                fields[name] = tuple((int(i), label) for i, _, label in pairs)
+            else:
+                raise LexiconError(f"unknown phrase field {tok!r}", line)
+    except ValueError as exc:
+        raise LexiconError(f"bad phrase field: {exc}", line) from None
+    if not fields.get("trigger"):
         raise LexiconError("phrase record needs trigger=", line)
+    rec = PhraseRecord(pid, kind, selectors=tuple(selectors), **fields)
+    if kind == "consolidation":
+        # termination: every firing must strictly shrink the element set
+        n = len(rec.selectors)
+        if n < 2 or len(rec.float_indices) >= n - 1:
+            raise LexiconError(f"pattern {pid!r} would not reduce the element count", line)
+        if rec.retain != "bundle" and rec.retain not in range(1, n + 1):
+            raise LexiconError(f"pattern {pid!r} retains no element of its window", line)
     return rec
 
 
@@ -482,4 +480,6 @@ def load_lexicon(source: str) -> Lexicon:
         else:
             raise LexiconError(f"unknown record kind {kind!r}", lineno)
     lex._validate()
+    lex._isa = lex._isa_closure()
+    lex._entails_base = {s: lex._entails_chain(s)[-1] for s in lex.senses}
     return lex

@@ -2,17 +2,20 @@
 
 There is no parse tree and no part-of-speech tagging.  Tokens link to
 candidate word senses; literal, consolidation and predication phrase
-patterns (data records in the lexicon file) are applied to a fixpoint,
-merging adjacent elements into labelled sets.  A predication converts the
-consolidated clause into a disambiguated logical structure, enforcing the
-completeness constraint and selecting word senses by selectional fit
-(with a qualia retry for associations like car has-a engine).
+records are applied to a fixpoint, merging adjacent elements into
+labelled sets.  A predication converts the consolidated clause into a
+disambiguated logical structure, enforcing the completeness constraint
+and selecting word senses by selectional fit (with a qualia retry for
+associations like car has-a engine).
 
-Only patterns indexed by a sense, attribute or word actually present in
-the element set are tried, so the candidate pattern count stays small.
+The matcher applies the lexicon's `PhraseRecord`s as they stand: the
+loader has already parsed and checked their selectors, retain indices
+and termination, so no record format is read here.  Only consolidations
+whose trigger sense or attribute is present in the element set are
+tried, so the candidate pattern count stays small.
 
 A matcher instance holds no per-call state and may serve concurrent
-callers over its immutable lexicon.
+callers over its read-only lexicon.
 """
 
 from __future__ import annotations
@@ -138,75 +141,34 @@ class Proposition:
     source: str = ""
 
 
-@dataclass
-class Selector:
-    conditions: list[tuple[str, str]]
-
-    def matches(self, el: Element, lexicon: Lexicon) -> bool:
-        for key, value in self.conditions:
-            if key == "word":
-                if el.surface != value:
-                    return False
-            elif key == "sense":
-                if value not in el.sense_ids():
-                    return False
-            elif key == "not-sense":
-                if value in el.sense_ids():
-                    return False
-            elif key == "cat":
-                if value not in el.categories(lexicon):
-                    return False
-            elif key == "reach":
-                if not el.reaches(lexicon, value):
-                    return False
-            elif key == "attr":
-                if value not in el.attributes:
-                    return False
-            elif key == "not-attr":
-                if value in el.attributes:
-                    return False
-            elif key == "any":
-                if not any(a in el.attributes for a in value.split("|")):
-                    return False
-            else:
-                raise MatchError(f"unknown selector condition {key!r}")
-        return True
-
-
-def _compile_selector(spec: str) -> Selector:
-    conditions = []
-    for part in spec.split("&"):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise MatchError(f"bad selector condition {part!r}")
-        conditions.append((key, value))
-    return Selector(conditions)
-
-
-@dataclass
-class PhrasePattern:
-    id: str
-    kind: str
-    trigger: str
-    selectors: list[Selector]
-    retain: int | str | None
-    float_indices: tuple[int, ...]
-    labels: dict[int, str]
-    ops: tuple[str, ...]
-    attrs: tuple[str, ...]
-    emit: str | None
-    frame: str | None
-    template: str | None
-
-    @classmethod
-    def compile(cls, rec: PhraseRecord) -> "PhrasePattern":
-        retain: int | str | None = rec.retain
-        if isinstance(retain, str) and retain.isdigit():
-            retain = int(retain)
-        return cls(rec.id, rec.kind, rec.trigger,
-                   [_compile_selector(s) for s in rec.selectors],
-                   retain, rec.float_indices, dict(rec.labels),
-                   rec.ops, rec.attrs, rec.emit, rec.frame, rec.template)
+def _selector_matches(conditions: tuple[tuple[str, str], ...], el: Element,
+                      lexicon: Lexicon) -> bool:
+    for key, value in conditions:
+        if key == "word":
+            if el.surface != value:
+                return False
+        elif key == "sense":
+            if value not in el.sense_ids():
+                return False
+        elif key == "not-sense":
+            if value in el.sense_ids():
+                return False
+        elif key == "cat":
+            if value not in el.categories(lexicon):
+                return False
+        elif key == "reach":
+            if not el.reaches(lexicon, value):
+                return False
+        elif key == "attr":
+            if value not in el.attributes:
+                return False
+        elif key == "not-attr":
+            if value in el.attributes:
+                return False
+        elif key == "any":
+            if not any(a in el.attributes for a in value.split("|")):
+                return False
+    return True
 
 
 def tokenize(text: str) -> tuple[list[str], str]:
@@ -231,33 +193,24 @@ def tokenize(text: str) -> tuple[list[str], str]:
 
 
 class Matcher:
-    """Compiled pattern set over a lexicon."""
+    """The lexicon's phrase records, sorted by kind and indexed by trigger."""
 
     def __init__(self, lexicon: Lexicon, strict_take: bool = False):
         self.lexicon = lexicon
         self.strict_take = strict_take
-        self.literals: list[PhrasePattern] = []
-        self.consolidations: list[PhrasePattern] = []
-        self.templates: dict[str, PhrasePattern] = {}
-        for rec in lexicon.phrase_records:
-            pat = PhrasePattern.compile(rec)
+        self.literals: list[PhraseRecord] = []
+        self.consolidations: list[PhraseRecord] = []
+        self.templates: dict[str, PhraseRecord] = {}
+        for pat in lexicon.phrase_records:
             if pat.kind == "literal":
                 self.literals.append(pat)
             elif pat.kind == "consolidation":
-                # termination: every firing must strictly shrink the element set
-                if len(pat.selectors) < 2 or len(pat.float_indices) >= len(pat.selectors) - 1:
-                    raise MatchError(
-                        f"pattern {pat.id!r} would not reduce the element count")
                 self.consolidations.append(pat)
             else:
                 self.templates[pat.trigger] = pat
-        # patterns indexed by trigger key so only plausible ones are tried
-        self._index: dict[tuple[str, str], list[PhrasePattern]] = {}
-        for pat in self.consolidations:
-            key = ("sense", pat.trigger) if pat.trigger in lexicon.senses \
-                else ("attr", pat.trigger)
-            self._index.setdefault(key, []).append(pat)
-        self._order = {id(p): i for i, p in enumerate(self.consolidations)}
+        # (trigger key, record) per consolidation, in lexicon order
+        self._triggered = [(("sense" if p.trigger in lexicon.senses else "attr", p.trigger), p)
+                       for p in self.consolidations]
 
     # -- element construction -------------------------------------------
 
@@ -285,7 +238,7 @@ class Matcher:
             for pat in self.literals:
                 if pat.trigger != tokens[i]:
                     continue
-                span = [c.conditions[0][1] for c in pat.selectors]
+                span = [sel[0][1] for sel in pat.selectors]
                 if tokens[i:i + len(span)] == span:
                     fired = (pat, len(span))
                     break
@@ -300,30 +253,26 @@ class Matcher:
 
     # -- consolidation fixpoint ------------------------------------------
 
-    def _candidate_patterns(self, elements: list[Element]) -> list[PhrasePattern]:
+    def _candidate_patterns(self, elements: list[Element]) -> list[PhraseRecord]:
         keys: set[tuple[str, str]] = set()
         for el in elements:
             for s in el.sense_ids():
                 keys.add(("sense", s))
             for a in el.attributes:
                 keys.add(("attr", a))
-        found: list[PhrasePattern] = []
-        for key in keys:
-            found.extend(self._index.get(key, ()))
-        found.sort(key=lambda p: self._order[id(p)])
-        return found
+        return [pat for key, pat in self._triggered if key in keys]
 
-    def _try_fire(self, pat: PhrasePattern, elements: list[Element], at: int):
+    def _try_fire(self, pat: PhraseRecord, elements: list[Element], at: int):
         n = len(pat.selectors)
         if at + n > len(elements):
             return None
         window = elements[at:at + n]
         for sel, el in zip(pat.selectors, window):
-            if not sel.matches(el, self.lexicon):
+            if not _selector_matches(sel, el, self.lexicon):
                 return None
         return self._consolidate(pat, window)
 
-    def _consolidate(self, pat: PhrasePattern, window: list[Element]) -> list[Element]:
+    def _consolidate(self, pat: PhraseRecord, window: list[Element]) -> list[Element]:
         if pat.retain == "bundle":
             result = Element(surface=" and ".join(w.surface for w in window))
             members = []
@@ -350,7 +299,7 @@ class Matcher:
             for a in w.attributes:
                 if a.startswith("op="):
                     result.ops.add(a[3:])
-        for idx, label in pat.labels.items():
+        for idx, label in pat.labels:
             if idx == pat.retain:
                 result.labels.add(label)
             else:

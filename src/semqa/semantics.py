@@ -299,12 +299,7 @@ def _preds_compatible(lexicon, qpred: str, ipred: str) -> bool:
         return True
     if ipred == ANY_POSITION_PRED and qpred in POSITION_PREDS:
         return True
-    if lexicon is not None:
-        try:
-            return lexicon.entails_related(qpred, ipred)
-        except Exception:
-            return False
-    return False
+    return lexicon is not None and lexicon.entails_related(qpred, ipred)
 
 
 def _bind(bindings: dict, focus: str, value) -> bool:

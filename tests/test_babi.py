@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import random
+from importlib import resources
 
 import pytest
 
@@ -182,3 +184,11 @@ def test_csv_empty_results(tmp_path):
     path = tmp_path / "empty.csv"
     export_csv([], path)
     assert path.read_text("utf-8") == "story_id,input,expected,answer,status\n"
+
+
+def test_running_every_fixture_leaves_the_lexicon_as_loaded():
+    lex = semqa.load_core_lexicon()
+    loaded = copy.deepcopy(vars(lex))
+    for path in resources.files("semqa").joinpath("data/fixtures").iterdir():
+        run_task(parse_babi_file(path.read_text("utf-8")), lex)
+    assert vars(lex) == loaded

@@ -99,7 +99,7 @@ def test_loading_a_second_lexicon_leaves_rendering_alone(tmp_path, lex, matcher)
 def test_malformed_task_line_is_an_error_not_a_traceback(tmp_path, capsys):
     (tmp_path / "qa2_test.txt").write_text("1 Mary went to the kitchen.\nWhere is Mary?\n")
     assert main(["run", "--task", "2", "--data", str(tmp_path)]) == 2
-    assert "error: line 2: malformed line" in capsys.readouterr().err
+    assert "error: qa2_test.txt: line 2: malformed line" in capsys.readouterr().err
 
 
 def test_vocabulary_gap_is_an_error_not_a_traceback(tmp_path, capsys):
@@ -114,3 +114,20 @@ def test_bad_lexicon_file_is_an_error_not_a_traceback(tmp_path, capsys):
     path.write_text("sense p:x frobnicate {}\n")
     assert main(["run", "--task", "1", "--fixtures", "--lexicon", str(path)]) == 2
     assert "error: line 1: category must be one of" in capsys.readouterr().err
+
+
+def test_missing_lexicon_file_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "nonexistent.lex"
+    assert main(["run", "--task", "1", "--fixtures", "--lexicon", str(missing)]) == 2
+    assert f"error: cannot read lexicon {missing}" in capsys.readouterr().err
+    monkeypatch.setenv("SEMQA_LEXICON", str(missing))
+    assert main(["lexicon-check", "--task", "1", "--fixtures"]) == 2
+    assert f"error: cannot read lexicon {missing}" in capsys.readouterr().err
+
+
+def test_malformed_task_file_is_named(tmp_path, capsys):
+    (tmp_path / "qa2_test.txt").write_text("1 Mary went to the kitchen.\n")
+    (tmp_path / "qa2_train.txt").write_text("1 Mary went to the kitchen.\nWhere?\n")
+    assert main(["run", "--task", "2", "--data", str(tmp_path), "--out",
+                 str(tmp_path / "res.csv")]) == 2
+    assert "error: qa2_train.txt: line 2: malformed line" in capsys.readouterr().err

@@ -151,6 +151,14 @@ def test_drop_before_pickup_is_diagnostic_not_crash(lex, matcher):
     assert t.held_now(DANIEL) == []
 
 
+def test_inconsistency_is_noted_once_however_often_asked(lex, matcher):
+    t = ingest_all(matcher, make_tracker(lex), ["Daniel dropped the football."])
+    for _ in range(3):
+        t.answer_question(matcher.parse_single("How many objects is Daniel holding?"))
+    assert len(t.diagnostics) == 1
+    assert "inconsistency" in t.diagnostics[0]
+
+
 def test_transfer_updates_both_parties(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), [
         "Bill picked up the milk.", "Bill gave the milk to Mary."])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import semqa
 from semqa.lexicon import LexiconError, load_lexicon
 
 MINI = """
@@ -162,3 +163,31 @@ def test_reachability_agrees_with_brute_force():
         for i in range(n):
             for j in range(n):
                 assert lex.holds_category(f"r:n{i}", f"r:n{j}") == reach[i][j]
+
+
+def test_unknown_selector_key_fails_at_load():
+    good = "sel:attr=aux sel:sense=m:not"
+    text = semqa.core_lexicon_text()
+    lineno = text[:text.index(good)].count("\n") + 1
+    with pytest.raises(LexiconError, match=f"line {lineno}: unknown selector key 'atr'"):
+        load_lexicon(text.replace(good, "sel:atr=aux sel:sense=m:not"))
+
+
+def test_selector_part_without_equals_fails_at_load():
+    doc = "# phrases\nphrase p consolidation trigger=aux sel:attr=aux&aux sel:sense=m:not retain=1\n"
+    with pytest.raises(LexiconError, match="line 2: bad selector condition 'aux'"):
+        load_lexicon(doc)
+
+
+def test_non_reducing_consolidation_fails_at_load():
+    doc = ("# phrases\nphrase p consolidation trigger=aux sel:attr=aux sel:sense=m:not "
+           "retain=1 float=2\n")
+    with pytest.raises(LexiconError, match="line 2: pattern 'p' would not reduce"):
+        load_lexicon(doc)
+
+
+@pytest.mark.parametrize("retain", ["retain=3", "retain=x", ""])
+def test_consolidation_must_retain_a_window_element(retain):
+    doc = f"phrase p consolidation trigger=aux sel:attr=aux sel:sense=m:not {retain}\n"
+    with pytest.raises(LexiconError, match="line 1"):
+        load_lexicon(doc)

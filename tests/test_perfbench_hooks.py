@@ -1,0 +1,45 @@
+"""The benchmark in `perfbench/` wraps engine functions by name and builds
+engine configs.  A refactor that renames or removes one of them must fail
+here, in the test suite, not later in a benchmark run.  Only reads
+`perfbench/`.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import semqa
+from semqa import babi, context
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # no bytecode cache is written into the benchmark's directory
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        importlib.import_module("workloads")
+        yield importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = saved
+
+
+def test_every_traced_name_resolves(tracer):
+    hooks = tracer.SPANS + tracer.COUNTED
+    assert hooks
+    for name, owner, attr in hooks:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner!r} has no {attr!r}"
+
+
+def test_workload_configs_construct(tracer, lex):
+    assert babi.TaskConfig(task=1).babi_last
+    context.QueryConfig()
+    semqa.Matcher(lex)
