@@ -48,7 +48,7 @@ class UnsupportedQuestionError(ContextError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextItem:
     index: int
     ls: object

@@ -7,16 +7,16 @@ relations (is-a, has-a, entails, does-x-*) and selectional frames used for
 word-sense disambiguation.  Phrase pattern records live in the same file
 format; this module is the only one that knows it.
 
-`load_lexicon` parses and validates every record, selectors and retain
-indices included, and computes the derived tables (relation index, is-a
-closure, entails bases) once.  A malformed record fails at load with the line that
+`load_lexicon` parses and validates every record, selectors, retain
+indices, literal `emit=` senses and predication `template=` names
+included, and computes the derived tables (relation index, is-a closure,
+entails bases) once.  A malformed record fails at load with the line that
 holds it, never later when a sentence reaches it.  Nothing changes after
 load, so a lexicon is safe to share across threads.
 """
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass
 
 CATEGORIES = ("referent", "predicate", "modifier")
@@ -28,6 +28,9 @@ DIMENSIONALITY = {"enclosure": "in", "surface": "on", "locale": "at"}
 POS_TAGS = frozenset({"noun", "verb", "adjective", "adverb"})
 # keys of a phrase selector condition `key=value`
 SELECTOR_KEYS = ("word", "sense", "not-sense", "cat", "reach", "attr", "not-attr", "any")
+# predication `template=` names; the matcher builds one logical structure per name
+TEMPLATES = frozenset({"be-state", "have-state", "motion", "transfer", "acquire",
+                       "release", "activity"})
 
 
 class LexiconError(Exception):
@@ -249,7 +252,10 @@ class Lexicon:
         self.relations.append(rel)
         self._rel_index.setdefault((rel.source, rel.kind), []).append(rel.target)
 
-    def _validate(self):
+    def _validate(self, phrase_lines: list[int]):
+        for rec, line in zip(self.phrase_records, phrase_lines):
+            if rec.kind == "literal" and rec.emit not in self.senses:
+                raise LexiconError(f"literal {rec.id!r} emits unknown sense {rec.emit!r}", line)
         for surface, links in self.forms.items():
             for sense_id, _ in links:
                 if sense_id not in self.senses:
@@ -411,6 +417,9 @@ def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
     if not fields.get("trigger"):
         raise LexiconError("phrase record needs trigger=", line)
     rec = PhraseRecord(pid, kind, selectors=tuple(selectors), **fields)
+    if kind == "predication" and rec.template not in TEMPLATES:
+        raise LexiconError(f"unknown template {rec.template!r}; expected one of "
+                           f"{sorted(TEMPLATES)}", line)
     if kind == "consolidation":
         # termination: every firing must strictly shrink the element set
         n = len(rec.selectors)
@@ -419,6 +428,26 @@ def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
         if rec.retain != "bundle" and rec.retain not in range(1, n + 1):
             raise LexiconError(f"pattern {pid!r} retains no element of its window", line)
     return rec
+
+
+def _split_record(text: str, line: int) -> list[str]:
+    """Tokens of one record line: whitespace-separated words, `"..."`
+    tokens that may hold spaces and apostrophes, and a `#` comment to the
+    end of the line.  The format has no other quoting and no escapes."""
+    tokens: list[str] = []
+    rest = text
+    while True:
+        head, quote, rest = rest.partition('"')
+        head, comment, _ = head.partition("#")
+        tokens.extend(head.split())
+        if comment or not quote:
+            return tokens
+        body, closed, rest = rest.partition('"')
+        if not closed:
+            raise LexiconError("unterminated quote", line)
+        if head[-1:].strip() or rest[:1].strip() not in ("", "#"):
+            raise LexiconError("a quote must enclose a whole token", line)
+        tokens.append(body)
 
 
 def load_lexicon(source: str) -> Lexicon:
@@ -432,14 +461,9 @@ def load_lexicon(source: str) -> Lexicon:
         phrase <id> <kind> trigger=<key> [sel:...]+ ...
     """
     lex = Lexicon()
+    phrase_lines: list[int] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            parts = shlex.split(stripped, comments=True)
-        except ValueError as exc:
-            raise LexiconError(str(exc), lineno) from None
+        parts = _split_record(raw, lineno)
         if not parts:
             continue
         kind = parts[0]
@@ -477,9 +501,10 @@ def load_lexicon(source: str) -> Lexicon:
             lex.frames[parts[1]] = SelectionalFrame(parts[1], tuple(roles))
         elif kind == "phrase":
             lex.phrase_records.append(_parse_phrase(parts, lineno))
+            phrase_lines.append(lineno)
         else:
             raise LexiconError(f"unknown record kind {kind!r}", lineno)
-    lex._validate()
+    lex._validate(phrase_lines)
     lex._isa = lex._isa_closure()
     lex._entails_base = {s: lex._entails_chain(s)[-1] for s in lex.senses}
     return lex

@@ -14,8 +14,16 @@ and termination, so no record format is read here.  Only consolidations
 whose trigger sense or attribute is present in the element set are
 tried, so the candidate pattern count stays small.
 
-A matcher instance holds no per-call state and may serve concurrent
-callers over its read-only lexicon.
+A parse depends only on the text and the matcher: the lexicon is
+read-only, pronouns stay unresolved until the context ingests the
+sentence, and every result is frozen.  So each matcher caches its
+successful parses by text (at most `PARSE_CACHE_SIZE`, oldest evicted
+first).  It also keeps one copy of each equal entity referent, logical
+structure and operator set it builds, so cached parses of different
+texts share them; that table starts over when it reaches the same size.
+Failures are not cached; they are raised again on every call.
+Concurrent callers may share a matcher: the tables only ever map a key
+to an equal value, and eviction tolerates a racing caller.
 """
 
 from __future__ import annotations
@@ -37,6 +45,10 @@ from .semantics import (
     entity,
     query,
 )
+
+
+# successful parses kept per matcher; bAbI stories repeat their sentences
+PARSE_CACHE_SIZE = 4096
 
 
 class MatchError(Exception):
@@ -131,7 +143,7 @@ class Element:
             for s in self.sense_ids())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposition:
     """One ingestible unit: logical structure + operators + hoisted clauses."""
 
@@ -211,6 +223,10 @@ class Matcher:
         # (trigger key, record) per consolidation, in lexicon order
         self._triggered = [(("sense" if p.trigger in lexicon.senses else "attr", p.trigger), p)
                        for p in self.consolidations]
+        # text -> propositions, in insertion order for FIFO eviction
+        self._parses: dict[str, tuple[Proposition, ...]] = {}
+        # term -> the equal term cached parses share
+        self._terms: dict = {}
 
     # -- element construction -------------------------------------------
 
@@ -463,7 +479,14 @@ class Matcher:
                      "proper", "pronoun"):
             if keep in el.attributes:
                 attrs.add(keep)
-        return entity(ref_senses[0], *attrs)
+        return self._shared(entity(ref_senses[0], *attrs))
+
+    def _shared(self, term):
+        """The matcher's one copy of each equal term, so cached parses of
+        different texts share their referents, structures and operators."""
+        if len(self._terms) >= PARSE_CACHE_SIZE:
+            self._terms.clear()     # stays bounded; sharing starts over
+        return self._terms.setdefault(term, term)
 
     def _fits(self, ref: Referent, category: str) -> tuple[bool, bool]:
         """(fits, used_qualia) for a referent against a role category."""
@@ -704,10 +727,8 @@ class Matcher:
         elif template == "release":
             ls = Wrapped("BECOME", Wrapped("NOT", State("p:have", roles["actor"],
                                                         roles["undergoer"])))
-        elif template == "activity":
+        else:   # "activity", the last of the names the loader admits
             ls = Activity(roles["actor"], sense_id, roles.get("undergoer"))
-        else:
-            raise MeaninglessError(f"unknown template {template!r}")
         return ls, roles, consumed, qualia_used
 
     def _cast_readings(self, elements: list[Element], ops: OperatorSet,
@@ -752,15 +773,16 @@ class Matcher:
             if actorish is not None and actorish.kind == "bundle":
                 number = "plural"
             host_ops = ops.with_(number=number)
+            ls = self._shared(ls)
             embedded = ()
             if "no-longer" in verb.attributes:
                 # cessation reads as: it was so, and now it is not
-                twin = Proposition(ls, host_ops.with_(tense="past",
-                                                      polarity="positive"),
+                twin = Proposition(ls, self._shared(host_ops.with_(tense="past",
+                                                                   polarity="positive")),
                                    source=source)
                 host_ops = host_ops.with_(tense="present", polarity="negative")
                 embedded = (twin,)
-            props.append(Proposition(ls, host_ops, embedded, source))
+            props.append(Proposition(ls, self._shared(host_ops), embedded, source))
         return props
 
     def _bare_position(self, elements: list[Element], ops: OperatorSet,
@@ -825,7 +847,21 @@ class Matcher:
 
     def parse_utterance(self, text: str) -> list[Proposition]:
         """Full pipeline; returns every surviving proposition (bAbI-style
-        sentences must yield exactly one)."""
+        sentences must yield exactly one).  Repeated texts are answered
+        from the parse cache; the returned list is the caller's own."""
+        props = self._parses.get(text)
+        if props is None:
+            props = tuple(self._parse(text))
+            cache = self._parses
+            while len(cache) >= PARSE_CACHE_SIZE:
+                try:
+                    cache.pop(next(iter(cache), None), None)
+                except RuntimeError:
+                    pass    # a racing caller resized the cache mid-lookup
+            cache[text] = props
+        return list(props)
+
+    def _parse(self, text: str) -> list[Proposition]:
         tokens, hint = tokenize(text)
         if not tokens:
             return []

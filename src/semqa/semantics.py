@@ -23,7 +23,7 @@ class SemanticsError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorSet:
     """Grammatical operator bundle carried alongside a logical structure."""
 
@@ -54,7 +54,7 @@ class OperatorSet:
         return ",".join(bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Referent:
     """Argument filler: entity, bundle, question slot, or unspecified."""
 
@@ -116,7 +116,7 @@ Term = Union["State", "Activity", "Wrapped", "Linked"]
 Arg = Union[Referent, "State", "Activity", "Wrapped", "Linked"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """Two-place state, e.g. be-in'(the kitchen, mary) or have'(bill, milk).
 
@@ -128,7 +128,7 @@ class State:
     arg2: Arg = UNSPECIFIED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Activity:
     """do'(actor, [pred'(actor, undergoer?)]); pred None renders do'(x, 0)."""
 
@@ -137,7 +137,7 @@ class Activity:
     undergoer: Optional[Referent] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wrapped:
     op: str                            # BECOME | INGR | NOT
     inner: Term
@@ -147,7 +147,7 @@ class Wrapped:
             raise SemanticsError("NOT never wraps CAUSE; attach polarity to the have' leaf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Linked:
     left: Term
     link: str                          # "&" (juncture) | "CAUSE" | "conj" (rendered with the logical-and sign)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+import shlex
 
 import pytest
 
 import semqa
-from semqa.lexicon import LexiconError, load_lexicon
+from semqa.lexicon import LexiconError, _split_record, load_lexicon
 
 MINI = """
 sense r:thing referent {} "object"
@@ -191,3 +192,42 @@ def test_consolidation_must_retain_a_window_element(retain):
     doc = f"phrase p consolidation trigger=aux sel:attr=aux sel:sense=m:not {retain}\n"
     with pytest.raises(LexiconError, match="line 1"):
         load_lexicon(doc)
+
+
+def _line_of(text: str, needle: str) -> int:
+    return text[:text.index(needle)].count("\n") + 1
+
+
+@pytest.mark.parametrize("good, bad, message", [
+    ("emit=m:no-longer", "emit=m:no-longre",
+     "literal 'lit-no-longer' emits unknown sense 'm:no-longre'"),
+    ("template=motion", "template=motoin", "unknown template 'motoin'"),
+])
+def test_phrase_output_names_fail_at_load(good, bad, message):
+    text = semqa.core_lexicon_text()
+    lineno = _line_of(text, good)
+    with pytest.raises(LexiconError, match=f"line {lineno}: {message}"):
+        load_lexicon(text.replace(good, bad, 1))
+
+
+def test_record_lines_split_as_shell_words():
+    lines = [line for line in semqa.core_lexicon_text().splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    assert any('"' in line for line in lines)
+    for line in lines:
+        assert _split_record(line, 1) == shlex.split(line, comments=True), line
+
+
+@pytest.mark.parametrize("record, message", [
+    ('sense r:x referent {} "open gloss', "unterminated quote"),
+    ('sense r:x referent {} a"b c"', "a quote must enclose a whole token"),
+    ('sense r:x referent {} "b c"d', "a quote must enclose a whole token"),
+])
+def test_stray_quote_fails_with_its_line(record, message):
+    with pytest.raises(LexiconError, match=f"line 2: {message}"):
+        load_lexicon(f"# quotes\n{record}\n")
+
+
+def test_comment_after_a_record_is_ignored():
+    lex = load_lexicon('sense r:x referent {} "it\'s # not a comment" # a comment\n')
+    assert lex.sense("r:x").gloss == "it's # not a comment"

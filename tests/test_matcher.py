@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import random
+import sys
+import threading
+import time
+
 import pytest
 
+from conftest import random_question, random_statement
+from semqa import matcher as matcher_module
 from semqa.matcher import (
     MatchError,
     Matcher,
@@ -216,12 +223,15 @@ def test_take_there_keeps_acquisition_reading(matcher):
 
 
 def test_strict_take_forces_carry(lex):
-    strict = Matcher(lex, strict_take=True)
-    assert render(strict.parse_single("Bill took the football there.").ls) \
-        == "do'(bill,[carry'(bill,the football)])"
-    # without the deictic the acquisition reading survives unchanged
-    assert render(strict.parse_single("Bill took the football.").ls) \
-        == "[do'(bill,0)] CAUSE [BECOME have'(bill,the football)]"
+    default, strict = Matcher(lex), Matcher(lex, strict_take=True)
+    acquire = "[do'(bill,0)] CAUSE [BECOME have'(bill,the football)]"
+    # each matcher caches its own readings; a second parse keeps them apart
+    for _ in range(2):
+        assert render(strict.parse_single("Bill took the football there.").ls) \
+            == "do'(bill,[carry'(bill,the football)])"
+        assert render(default.parse_single("Bill took the football there.").ls) == acquire
+        # without the deictic the acquisition reading survives unchanged
+        assert render(strict.parse_single("Bill took the football.").ls) == acquire
 
 
 def test_question_word_order_reordered(matcher):
@@ -264,3 +274,104 @@ def test_vacuous_markers_are_ignored(matcher):
 
 def test_empty_utterance(matcher):
     assert matcher.parse_utterance("") == []
+
+
+# -- parse cache ----------------------------------------------------------------
+
+def test_repeat_parse_returns_equal_propositions(lex):
+    m = Matcher(lex)
+    first = m.parse_utterance("Mary who went to the kitchen went to the garden.")
+    assert m.parse_utterance("Mary who went to the kitchen went to the garden.") == first
+
+
+def test_equal_terms_are_shared_across_texts(lex):
+    m = Matcher(lex)
+    went = m.parse_single("Mary went to the kitchen.")
+    moved = m.parse_single("Mary moved to the kitchen.")
+    assert went.ls is moved.ls
+    assert went.operators is moved.operators
+
+
+def test_mutating_a_returned_list_leaves_the_cache_alone(lex):
+    m = Matcher(lex)
+    props = m.parse_utterance("Bill gave the milk to Mary.")
+    expected = list(props)
+    props.clear()
+    assert m.parse_utterance("Bill gave the milk to Mary.") == expected
+
+
+def test_unknown_word_raises_on_every_call(lex):
+    m = Matcher(lex)
+    for _ in range(2):
+        with pytest.raises(UnknownWordError):
+            m.parse_utterance("Mary zorped to the kitchen.")
+
+
+def test_parse_cache_is_bounded(lex, monkeypatch):
+    monkeypatch.setattr(matcher_module, "PARSE_CACHE_SIZE", 3)
+    m = Matcher(lex)
+    texts = [f"Mary went to the {place}." for place in
+             ("kitchen", "garden", "office", "hallway", "bedroom")]
+    for text in texts + texts[:2]:
+        m.parse_utterance(text)
+        assert len(m._parses) <= 3
+        assert len(m._terms) <= 3
+    # oldest evicted first
+    assert list(m._parses) == [texts[4], texts[0], texts[1]]
+
+
+def _outcomes(m, texts):
+    out = []
+    for text in texts:
+        try:
+            out.append(m.parse_utterance(text))
+        except MatchError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+class _YieldingDict(dict):
+    """Gives up the interpreter lock between creating an iterator and its
+    first step, so a racing caller's insert lands inside an eviction."""
+
+    def __iter__(self):
+        keys = super().__iter__()
+        time.sleep(0)
+        return keys
+
+
+def test_threads_sharing_a_matcher_agree_with_a_sequential_run(lex, monkeypatch):
+    rng = random.Random(11)
+    texts = [random_statement(rng) if i % 3 else random_question(rng)
+             for i in range(196)]
+    texts += ["Mary zorped to the kitchen."] * 4
+    rng.shuffle(texts)
+    expected = _outcomes(Matcher(lex), texts)
+    # a small cache makes the threads evict while the others insert
+    monkeypatch.setattr(matcher_module, "PARSE_CACHE_SIZE", 16)
+    shared = Matcher(lex)
+    shared._parses = _YieldingDict()
+    results: list = [None] * 4
+    errors: list[BaseException] = []
+
+    def work(slot):
+        try:
+            results[slot] = _outcomes(shared, texts)
+        except BaseException as exc:    # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * 4
+    # each other thread may insert once between a check and its own insert
+    assert len(shared._parses) <= 16 + 3

@@ -43,3 +43,24 @@ def test_workload_configs_construct(tracer, lex):
     assert babi.TaskConfig(task=1).babi_last
     context.QueryConfig()
     semqa.Matcher(lex)
+
+
+def test_parse_cache_sits_behind_the_traced_parse(lex, monkeypatch):
+    # the tracer counts every parse request at `parse_utterance` and only
+    # the misses below it; `matcher.distinct_text_share` depends on both
+    calls = {"parse_utterance": 0, "match_phrases": 0}
+
+    def counted(attr):
+        original = getattr(semqa.Matcher, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for attr in calls:
+        monkeypatch.setattr(semqa.Matcher, attr, counted(attr))
+    m = semqa.Matcher(lex)
+    m.parse_single("Mary went to the kitchen.")
+    m.parse_single("Mary went to the kitchen.")
+    assert calls == {"parse_utterance": 2, "match_phrases": 1}
