@@ -18,6 +18,7 @@ from .babi import (
     score,
 )
 from .context import AnswerContent, ContextItem, ContextTracker, QueryConfig
+from .errors import SemqaError
 from .lexicon import Lexicon, LexiconError, load_lexicon
 from .matcher import Matcher, MatchError, Proposition, tokenize
 from .nlg import (

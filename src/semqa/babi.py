@@ -21,20 +21,21 @@ from .context import (
     item_receive_candidates,
     latest_match,
 )
+from .errors import SemqaError
 from .lexicon import Lexicon
 from .matcher import Matcher, tokenize
 from .nlg import RealizationRequest, realize_answer
 from .semantics import Referent
 
 
-class BabiFormatError(Exception):
+class BabiFormatError(SemqaError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
 
 
-class VocabularyGapError(Exception):
+class VocabularyGapError(SemqaError):
     def __init__(self, words: list[str]):
         super().__init__("vocabulary gaps: " + ", ".join(sorted(words)))
         self.words = sorted(words)
@@ -174,7 +175,7 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
                 try:
                     prop = matcher.parse_single(rec.text)
                     tracker.ingest(prop)
-                except Exception as exc:            # engine error; report on questions
+                except SemqaError as exc:           # engine error; report on questions
                     broken = f"{type(exc).__name__}: {exc}"
                 continue
             result = RunResult(story_id, rec.line_id, rec.text,
@@ -190,7 +191,7 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
                 answer = latest_match(content) if config.babi_last else content
                 result.produced = realize_answer(
                     RealizationRequest(answer, mode="keyword"), lexicon)
-            except Exception as exc:
+            except SemqaError as exc:
                 result.produced = f"<error: {type(exc).__name__}: {exc}>"
                 result.explanation = str(exc)
                 results.append(result)

@@ -22,7 +22,6 @@ from .babi import (
     BabiFormatError,
     ScoreReport,
     TaskConfig,
-    VocabularyGapError,
     check_vocabulary,
     export_csv,
     parse_babi_file,
@@ -30,8 +29,9 @@ from .babi import (
     score,
 )
 from .context import ContextTracker, latest_match
+from .errors import SemqaError
 from .lexicon import LexiconError, load_lexicon
-from .matcher import MatchError, Matcher
+from .matcher import Matcher
 from .nlg import (
     RealizationRequest,
     realize_answer,
@@ -170,7 +170,7 @@ def cmd_repl(args) -> int:
             else:
                 tracker.ingest(prop)
                 print(f"  + {tracker.items[-1].trace_line(lexicon)}")
-        except Exception as exc:
+        except SemqaError as exc:
             print(f"! {type(exc).__name__}: {exc}")
 
 
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatchError, BabiFormatError, VocabularyGapError, LexiconError) as exc:
+    except SemqaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .errors import SemqaError
 from .lexicon import Lexicon
 from .matcher import Proposition
 from .semantics import (
@@ -36,7 +37,7 @@ from .semantics import (
 _POSITION_PREDS = POSITION_PREDS | {ANY_POSITION_PRED}
 
 
-class ContextError(Exception):
+class ContextError(SemqaError):
     pass
 
 
@@ -73,7 +74,6 @@ class AnswerContent:
     kind: str                       # polar | content | transfer | count | list
     polarity: str | None = None     # yes | no
     bindings: list = field(default_factory=list)
-    focus: str | None = None
     echo: OperatorSet | None = None
     topic: Referent | None = None
     contrast: Referent | None = None
@@ -141,9 +141,6 @@ class ContextTracker:
         self.config = config or QueryConfig()
         self.items: list[ContextItem] = []
         self.diagnostics: list[str] = []
-
-    def __len__(self):
-        return len(self.items)
 
     def trace(self) -> str:
         return "\n".join(item.trace_line(self.lexicon) for item in self.items)
@@ -233,17 +230,14 @@ class ContextTracker:
                 cur = entry
         return cur
 
-    def past_positions(self, entity: Referent,
-                       include_current: bool | None = None) -> list[PositionEntry]:
-        if include_current is None:
-            include_current = self.config.include_current_position
+    def past_positions(self, entity: Referent) -> list[PositionEntry]:
         entries = [e for e in self.positions_of(entity) if e.polarity == "positive"]
         deduped: list[PositionEntry] = []
         for e in entries:
             if not any(_same_location(d.state, e.state) for d in deduped):
                 deduped.append(e)
         cur = self.current_position(entity)
-        if not include_current and cur is not None:
+        if not self.config.include_current_position and cur is not None:
             deduped = [e for e in deduped if not _same_location(e.state, cur.state)]
         return deduped
 
@@ -325,7 +319,7 @@ class ContextTracker:
             return self._answer_who_position(ls, ops)
         if focus == "what" and isinstance(ls, State) and ls.pred == "p:have":
             return self._answer_holding_list(ls, ops)
-        if self._is_transfer_query(ls):
+        if have_events(ls):
             return self._answer_transfer(ls, ops, focus)
         raise UnsupportedQuestionError(
             f"no matching frame class for {render(ls, self.lexicon)}")
@@ -342,16 +336,14 @@ class ContextTracker:
         if ops.tense == "present":
             cur = self.current_position(entity)
             if cur is None:
-                return AnswerContent("content", bindings=[], focus="where",
-                                     echo=ops, topic=entity)
+                return AnswerContent("content", bindings=[], echo=ops, topic=entity)
             return AnswerContent(
-                "content", bindings=[_position_value(cur.state)], focus="where",
+                "content", bindings=[_position_value(cur.state)],
                 echo=ops, topic=entity, support=[cur.index], item_tense=cur.tense)
         entries = self.past_positions(entity)
         return AnswerContent(
             "content", bindings=[_position_value(e.state) for e in entries],
-            focus="where", echo=ops, topic=entity,
-            support=[e.index for e in entries])
+            echo=ops, topic=entity, support=[e.index for e in entries])
 
     def _answer_polar(self, ls, ops: OperatorSet) -> AnswerContent:
         if isinstance(ls, State) and ls.pred in _POSITION_PREDS:
@@ -403,8 +395,7 @@ class ContextTracker:
             if cur is not None and _same_location(cur.state, ls):
                 bindings.append(ref)
                 support.append(cur.index)
-        return AnswerContent("content", bindings=bindings, focus="who",
-                             echo=ops, support=support)
+        return AnswerContent("content", bindings=bindings, echo=ops, support=support)
 
     def _answer_count(self, ls: State, ops: OperatorSet) -> AnswerContent:
         holder = ls.arg1
@@ -419,19 +410,13 @@ class ContextTracker:
             rows = [(obj, i) for obj, i in rows
                     if obj.sense and self.lexicon.holds_category(obj.sense, counted)]
         return AnswerContent("count", bindings=[obj for obj, _ in rows],
-                             focus="how-many", echo=ops, topic=holder,
-                             support=[i for _, i in rows])
+                             echo=ops, topic=holder, support=[i for _, i in rows])
 
     def _answer_holding_list(self, ls: State, ops: OperatorSet) -> AnswerContent:
         holder = ls.arg1
         rows = self.held_now(holder)
         return AnswerContent("list", bindings=[obj for obj, _ in rows],
-                             focus="what", echo=ops, topic=holder,
-                             support=[i for _, i in rows])
-
-    @staticmethod
-    def _is_transfer_query(ls) -> bool:
-        return bool(have_events(ls))
+                             echo=ops, topic=holder, support=[i for _, i in rows])
 
     def _receive_events(self, ls):
         """Items whose positive have' leaf matches a bare BECOME have' query."""
@@ -469,8 +454,8 @@ class ContextTracker:
                     support.append(item.index)
         topic = next((r for r in walk_referents(ls)
                       if r.kind in ("entity", "bundle")), None)
-        return AnswerContent("transfer", bindings=bindings, focus=focus,
-                             echo=ops, topic=topic, support=support)
+        return AnswerContent("transfer", bindings=bindings, echo=ops, topic=topic,
+                             support=support)
 
 
 def latest_match(content: AnswerContent) -> AnswerContent:

@@ -4,20 +4,25 @@ Word forms link surface tokens to word senses with inflectional attributes.
 Senses carry one of three semantic universals (referent / predicate /
 modifier) -- never parts of speech -- plus attribute sets, semantic
 relations (is-a, has-a, entails, does-x-*) and selectional frames used for
-word-sense disambiguation.  Phrase pattern records live in the same file
-format; this module is the only one that knows it.
+word-sense disambiguation.  A predicate sense's `vc=` attribute names the
+template its logical structure is built from.  Literal and consolidation
+phrase records live in the same file format; this module is the only one
+that knows it.
 
 `load_lexicon` parses and validates every record, selectors, retain
-indices, literal `emit=` senses and predication `template=` names
-included, and computes the derived tables (relation index, is-a closure,
-entails bases) once.  A malformed record fails at load with the line that
-holds it, never later when a sentence reaches it.  Nothing changes after
-load, so a lexicon is safe to share across threads.
+indices, literal `emit=` senses and `vc=` template names included, checks
+that a sense with a frame-driven template reaches a selectional frame
+along its entails chain, and computes the derived tables (relation index,
+is-a closure, entails bases) once.  A malformed record fails at load with
+the line that holds it, never later when a sentence reaches it.  Nothing
+changes after load, so a lexicon is safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .errors import SemqaError
 
 CATEGORIES = ("referent", "predicate", "modifier")
 RELATION_KINDS = ("is-a", "has-a", "entails", "does-x-actor", "does-x-undergoer")
@@ -28,12 +33,14 @@ DIMENSIONALITY = {"enclosure": "in", "surface": "on", "locale": "at"}
 POS_TAGS = frozenset({"noun", "verb", "adjective", "adverb"})
 # keys of a phrase selector condition `key=value`
 SELECTOR_KEYS = ("word", "sense", "not-sense", "cat", "reach", "attr", "not-attr", "any")
-# predication `template=` names; the matcher builds one logical structure per name
+# `vc=` template names; the matcher builds one logical structure per name
 TEMPLATES = frozenset({"be-state", "have-state", "motion", "transfer", "acquire",
                        "release", "activity"})
+# templates whose roles are linked through the predicate's selectional frame
+FRAME_TEMPLATES = TEMPLATES - {"be-state", "have-state"}
 
 
-class LexiconError(Exception):
+class LexiconError(SemqaError):
     """Raised on malformed records or referential-integrity failures."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -73,13 +80,6 @@ class WordSense:
 
 
 @dataclass(frozen=True)
-class SemanticRelation:
-    source: str
-    kind: str
-    target: str
-
-
-@dataclass(frozen=True)
 class FrameRole:
     name: str
     category: str
@@ -103,7 +103,7 @@ class PhraseRecord:
     """A parsed `phrase` record; the matcher applies it as it stands."""
 
     id: str
-    kind: str              # literal | consolidation | predication
+    kind: str              # literal | consolidation
     trigger: str
     # one tuple of (key, value) conditions per window element
     selectors: tuple[tuple[tuple[str, str], ...], ...] = ()
@@ -113,7 +113,6 @@ class PhraseRecord:
     ops: tuple[str, ...] = ()
     attrs: tuple[str, ...] = ()
     emit: str | None = None
-    template: str | None = None
 
 
 class Lexicon:
@@ -123,9 +122,9 @@ class Lexicon:
         self.senses: dict[str, WordSense] = {}
         # surface -> list of (sense id, link attributes)
         self.forms: dict[str, list[tuple[str, frozenset[str]]]] = {}
-        self.relations: list[SemanticRelation] = []
         self.frames: dict[str, SelectionalFrame] = {}
         self.phrase_records: list[PhraseRecord] = []
+        # (source, relation kind) -> targets, in record order
         self._rel_index: dict[tuple[str, str], list[str]] = {}
         # sense -> every sense it reaches via zero or more is-a edges
         self._isa: dict[str, frozenset[str]] = {}
@@ -134,9 +133,6 @@ class Lexicon:
 
     def __len__(self):
         return len(self.senses)
-
-    def __contains__(self, sense_id: str) -> bool:
-        return sense_id in self.senses
 
     # -- lookups -------------------------------------------------------
 
@@ -161,13 +157,6 @@ class Lexicon:
         if sense_id not in self.senses or category not in self.senses:
             raise LexiconError(f"unknown identifier in {sense_id!r} -> {category!r}")
         return category in self._isa[sense_id]
-
-    def selectional_fit(self, frame: SelectionalFrame, role: str, filler: str) -> bool:
-        """Does `filler` satisfy the category restriction of `role`?"""
-        r = frame.role(role)
-        if r is None:
-            raise LexiconError(f"frame {frame.predicate} has no role {role!r}")
-        return self.holds_category(filler, r.category)
 
     def qualia_expand(self, referent: str) -> list[tuple[str, str]]:
         """Part (has-a) and telic/agentive (does-x) associations of a referent.
@@ -246,13 +235,12 @@ class Lexicon:
             raise LexiconError(f"part-of-speech tag not allowed on form {surface!r}", line)
         self.forms.setdefault(surface, []).append((sense_id, attrs))
 
-    def _add_relation(self, rel: SemanticRelation, line: int):
-        if rel.kind not in RELATION_KINDS:
-            raise LexiconError(f"unknown relation kind {rel.kind!r}", line)
-        self.relations.append(rel)
-        self._rel_index.setdefault((rel.source, rel.kind), []).append(rel.target)
+    def _add_relation(self, source: str, kind: str, target: str, line: int):
+        if kind not in RELATION_KINDS:
+            raise LexiconError(f"unknown relation kind {kind!r}", line)
+        self._rel_index.setdefault((source, kind), []).append(target)
 
-    def _validate(self, phrase_lines: list[int]):
+    def _validate(self, phrase_lines: list[int], sense_lines: dict[str, int]):
         for rec, line in zip(self.phrase_records, phrase_lines):
             if rec.kind == "literal" and rec.emit not in self.senses:
                 raise LexiconError(f"literal {rec.id!r} emits unknown sense {rec.emit!r}", line)
@@ -260,14 +248,15 @@ class Lexicon:
             for sense_id, _ in links:
                 if sense_id not in self.senses:
                     raise LexiconError(f"form {surface!r} links unknown sense {sense_id!r}")
-        for rel in self.relations:
-            if rel.source not in self.senses:
-                raise LexiconError(f"relation from unknown sense {rel.source!r}")
-            if rel.target not in self.senses and rel.target not in CATEGORIES:
-                raise LexiconError(f"relation to unknown sense {rel.target!r}")
-            if rel.kind == "entails":
-                if rel.target in self.senses and self.senses[rel.target].category != "predicate":
-                    raise LexiconError(f"entails target {rel.target!r} is not a predicate")
+        for (source, kind), targets in self._rel_index.items():
+            if source not in self.senses:
+                raise LexiconError(f"relation from unknown sense {source!r}")
+            for target in targets:
+                if target not in self.senses and target not in CATEGORIES:
+                    raise LexiconError(f"relation to unknown sense {target!r}")
+                if kind == "entails" and target in self.senses \
+                        and self.senses[target].category != "predicate":
+                    raise LexiconError(f"entails target {target!r} is not a predicate")
         for frame in self.frames.values():
             if frame.predicate not in self.senses:
                 raise LexiconError(f"frame for unknown predicate {frame.predicate!r}")
@@ -287,6 +276,13 @@ class Lexicon:
             dims = [d for d in DIMENSIONALITY if d in sense.attributes]
             if len(dims) > 1:
                 raise LexiconError(f"{sense.id!r} carries multiple dimensionality classes")
+            vc = sense.attr("vc")
+            if vc is not None and vc not in TEMPLATES:
+                raise LexiconError(f"unknown template {vc!r} in vc= of {sense.id!r}; "
+                                   f"expected one of {sorted(TEMPLATES)}", sense_lines[sense.id])
+            if vc in FRAME_TEMPLATES and self.frame_for(sense.id) is None:
+                raise LexiconError(f"{sense.id!r} has vc={vc} but no selectional frame "
+                                   "along its entails chain", sense_lines[sense.id])
 
     def _isa_closure(self) -> dict[str, frozenset[str]]:
         """Reflexive is-a closure of every sense; rejects cycles."""
@@ -309,59 +305,6 @@ class Lexicon:
         for sense_id in self.senses:
             reach(sense_id)
         return closure
-
-    # -- serialization --------------------------------------------------
-
-    def dumps(self) -> str:
-        """Serialize back to the record format; loading the result yields an
-        identical network."""
-        out = []
-        for sense in self.senses.values():
-            attrs = "{" + ",".join(sorted(sense.attributes)) + "}"
-            out.append(f'sense {sense.id} {sense.category} {attrs} "{sense.gloss}"')
-        for surface, links in self.forms.items():
-            for sense_id, attrs in links:
-                a = "{" + ",".join(sorted(attrs)) + "}"
-                out.append(f"form {surface} -> {sense_id} {a}")
-        for rel in self.relations:
-            out.append(f"rel {rel.source} {rel.kind} {rel.target}")
-        for frame in self.frames.values():
-            roles = " ".join(
-                f"{r.name}:{r.category}" + ("!required" if r.required else "")
-                for r in frame.roles)
-            out.append(f"frame {frame.predicate} {roles}")
-        for rec in self.phrase_records:
-            out.append(_render_phrase_record(rec))
-        return "\n".join(out) + "\n"
-
-    def same_network(self, other: "Lexicon") -> bool:
-        def phrase_lines(lex):
-            return [_render_phrase_record(r) for r in lex.phrase_records]
-        return (self.senses == other.senses
-                and self.forms == other.forms
-                and sorted(self.relations, key=str) == sorted(other.relations, key=str)
-                and self.frames == other.frames
-                and phrase_lines(self) == phrase_lines(other))
-
-
-def _render_phrase_record(rec: PhraseRecord) -> str:
-    parts = [f"phrase {rec.id} {rec.kind} trigger={rec.trigger}"]
-    parts.extend("sel:" + "&".join(f"{k}={v}" for k, v in sel) for sel in rec.selectors)
-    if rec.retain is not None:
-        parts.append(f"retain={rec.retain}")
-    if rec.float_indices:
-        parts.append("float=" + ",".join(str(i) for i in rec.float_indices))
-    if rec.labels:
-        parts.append("labels=" + ",".join(f"{i}:{v}" for i, v in sorted(rec.labels)))
-    if rec.ops:
-        parts.append("ops=" + ",".join(rec.ops))
-    if rec.attrs:
-        parts.append("attrs=" + ",".join(rec.attrs))
-    if rec.emit:
-        parts.append(f"emit={rec.emit}")
-    if rec.template:
-        parts.append(f"template={rec.template}")
-    return " ".join(parts)
 
 
 def _parse_attrs(token: str, line: int) -> frozenset[str]:
@@ -390,7 +333,7 @@ def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
     if len(parts) < 3:
         raise LexiconError("phrase record needs id and kind", line)
     pid, kind = parts[1], parts[2]
-    if kind not in ("literal", "consolidation", "predication"):
+    if kind not in ("literal", "consolidation"):
         raise LexiconError(f"unknown phrase kind {kind!r}", line)
     selectors = []
     fields: dict[str, object] = {}
@@ -399,7 +342,7 @@ def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
             name, _, value = tok.partition("=")
             if tok.startswith("sel:"):
                 selectors.append(_parse_selector(tok[4:], line))
-            elif name in ("trigger", "emit", "template"):
+            elif name in ("trigger", "emit"):
                 fields[name] = value
             elif name in ("ops", "attrs"):
                 fields[name] = tuple(v for v in value.split(",") if v)
@@ -417,9 +360,6 @@ def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
     if not fields.get("trigger"):
         raise LexiconError("phrase record needs trigger=", line)
     rec = PhraseRecord(pid, kind, selectors=tuple(selectors), **fields)
-    if kind == "predication" and rec.template not in TEMPLATES:
-        raise LexiconError(f"unknown template {rec.template!r}; expected one of "
-                           f"{sorted(TEMPLATES)}", line)
     if kind == "consolidation":
         # termination: every firing must strictly shrink the element set
         n = len(rec.selectors)
@@ -458,10 +398,11 @@ def load_lexicon(source: str) -> Lexicon:
         form <surface> -> <sense-id> {attr,...}
         rel <id> <kind> <id-or-label>
         frame <pred-id> <role>:<category>[!required] ...
-        phrase <id> <kind> trigger=<key> [sel:...]+ ...
+        phrase <id> literal|consolidation trigger=<key> [sel:...]+ ...
     """
     lex = Lexicon()
     phrase_lines: list[int] = []
+    sense_lines: dict[str, int] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         parts = _split_record(raw, lineno)
         if not parts:
@@ -473,6 +414,7 @@ def load_lexicon(source: str) -> Lexicon:
             attrs = _parse_attrs(parts[3], lineno) if len(parts) > 3 else frozenset()
             gloss = parts[4] if len(parts) > 4 else ""
             lex._add_sense(WordSense(parts[1], parts[2], attrs, gloss), lineno)
+            sense_lines[parts[1]] = lineno
         elif kind == "form":
             if len(parts) < 4 or parts[2] != "->":
                 raise LexiconError("form record is `form <surface> -> <sense> {attrs}`", lineno)
@@ -481,7 +423,7 @@ def load_lexicon(source: str) -> Lexicon:
         elif kind == "rel":
             if len(parts) != 4:
                 raise LexiconError("rel record is `rel <from> <kind> <to>`", lineno)
-            lex._add_relation(SemanticRelation(parts[1], parts[2], parts[3]), lineno)
+            lex._add_relation(parts[1], parts[2], parts[3], lineno)
         elif kind == "frame":
             if len(parts) < 3:
                 raise LexiconError("frame record needs predicate and roles", lineno)
@@ -504,7 +446,7 @@ def load_lexicon(source: str) -> Lexicon:
             phrase_lines.append(lineno)
         else:
             raise LexiconError(f"unknown record kind {kind!r}", lineno)
-    lex._validate(phrase_lines)
+    lex._validate(phrase_lines, sense_lines)
     lex._isa = lex._isa_closure()
     lex._entails_base = {s: lex._entails_chain(s)[-1] for s in lex.senses}
     return lex

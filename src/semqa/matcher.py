@@ -1,18 +1,21 @@
 """Sentence matcher: tokens -> phrase consolidation -> logical structures.
 
 There is no parse tree and no part-of-speech tagging.  Tokens link to
-candidate word senses; literal, consolidation and predication phrase
-records are applied to a fixpoint, merging adjacent elements into
-labelled sets.  A predication converts the consolidated clause into a
-disambiguated logical structure, enforcing the completeness constraint
-and selecting word senses by selectional fit (with a qualia retry for
-associations like car has-a engine).
+candidate word senses; literal and consolidation phrase records are
+applied to a fixpoint, merging adjacent elements into labelled sets.
+Predication then converts the consolidated clause into a disambiguated
+logical structure: each candidate sense of the main predicate is cast
+through the template its `vc=` attribute names, enforcing the
+completeness constraint and selecting word senses by selectional fit
+(with a qualia retry for associations like car has-a engine).
 
 The matcher applies the lexicon's `PhraseRecord`s as they stand: the
 loader has already parsed and checked their selectors, retain indices
-and termination, so no record format is read here.  Only consolidations
-whose trigger sense or attribute is present in the element set are
-tried, so the candidate pattern count stays small.
+and termination, every `vc=` template name, and a selectional frame for
+every frame-driven template, so no record format is read here and none
+of these is checked again.  Only consolidations whose trigger sense or
+attribute is present in the element set are tried, so the candidate
+pattern count stays small.
 
 A parse depends only on the text and the matcher: the lexicon is
 read-only, pronouns stay unresolved until the context ingests the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .errors import SemqaError
 from .lexicon import Lexicon, PhraseRecord, attr_value
 from .semantics import (
     Activity,
@@ -51,7 +55,7 @@ from .semantics import (
 PARSE_CACHE_SIZE = 4096
 
 
-class MatchError(Exception):
+class MatchError(SemqaError):
     """Base failure while converting a sentence to logical structures."""
 
 
@@ -111,15 +115,14 @@ class Element:
     def categories(self, lexicon: Lexicon) -> set[str]:
         if self.bundle_members:
             return {"referent"}
-        return {lexicon.sense(s).category for s, _ in self.senses if s in lexicon}
+        return {lexicon.sense(s).category for s, _ in self.senses}
 
     def reaches(self, lexicon: Lexicon, target: str) -> bool:
         if self.bundle_members:
             return all(m.reaches(lexicon, target) for m in self.bundle_members)
-        return any(
-            s in lexicon and lexicon.sense(s).category == "referent"
-            and lexicon.holds_category(s, target)
-            for s in self.sense_ids())
+        return any(lexicon.sense(s).category == "referent"
+                   and lexicon.holds_category(s, target)
+                   for s in self.sense_ids())
 
     def is_referent(self, lexicon: Lexicon) -> bool:
         return "referent" in self.categories(lexicon)
@@ -137,10 +140,9 @@ class Element:
             return True
         if not self.senses:
             return False
-        return all(
-            s in lexicon and lexicon.sense(s).category == "modifier"
-            and "vacuous" in lexicon.sense(s).attributes
-            for s in self.sense_ids())
+        return all(lexicon.sense(s).category == "modifier"
+                   and "vacuous" in lexicon.sense(s).attributes
+                   for s in self.sense_ids())
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,16 +212,9 @@ class Matcher:
     def __init__(self, lexicon: Lexicon, strict_take: bool = False):
         self.lexicon = lexicon
         self.strict_take = strict_take
-        self.literals: list[PhraseRecord] = []
-        self.consolidations: list[PhraseRecord] = []
-        self.templates: dict[str, PhraseRecord] = {}
-        for pat in lexicon.phrase_records:
-            if pat.kind == "literal":
-                self.literals.append(pat)
-            elif pat.kind == "consolidation":
-                self.consolidations.append(pat)
-            else:
-                self.templates[pat.trigger] = pat
+        records = lexicon.phrase_records
+        self.literals = [p for p in records if p.kind == "literal"]
+        self.consolidations = [p for p in records if p.kind == "consolidation"]
         # (trigger key, record) per consolidation, in lexicon order
         self._triggered = [(("sense" if p.trigger in lexicon.senses else "attr", p.trigger), p)
                        for p in self.consolidations]
@@ -542,11 +537,7 @@ class Matcher:
                     ops: OperatorSet):
         lex = self.lexicon
         sense = lex.sense(sense_id)
-        vc = sense.attr("vc")
-        pattern = self.templates.get(f"vc={vc}")
-        if pattern is None:
-            raise MeaninglessError(f"no predication phrase for {sense_id!r}")
-        template = pattern.template
+        template = sense.attr("vc")
         frame = lex.frame_for(sense_id)
         pre, post, labeled, pre_refs, post_refs = self._clause_parts(elements, verb)
         consumed: set[int] = set()
@@ -610,10 +601,8 @@ class Matcher:
             ls = build_state(lex, "p:have", roles["actor"], roles["undergoer"])
             return ls, roles, consumed, False
 
-        if frame is None:
-            raise MeaninglessError(f"{sense_id!r} has no selectional frame")
-
-        # frame-driven linking for motion / transfer / acquire / release / activity
+        # frame-driven linking for motion / transfer / acquire / release / activity;
+        # the loader guarantees these senses a frame
         open_roles = [r.name for r in frame.roles]
         qualia_used = False
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import AnswerContent
+from .errors import SemqaError
 from .lexicon import DIMENSIONALITY, Lexicon
 from .semantics import OperatorSet, Referent, State
 
 
-class RealizationError(Exception):
+class RealizationError(SemqaError):
     pass
 
 
@@ -97,19 +98,14 @@ def verb_forms(lexicon: Lexicon, pred: str) -> dict[str, str]:
     return forms
 
 
-def realize_verb_group(ops: OperatorSet, pred: str,
-                       lexicon: Lexicon | None = None,
-                       forms: dict[str, str] | None = None) -> str:
+def realize_verb_group(ops: OperatorSet, pred: str, lexicon: Lexicon) -> str:
     """English auxiliary chain for an operator set.
 
     {future, passive, perfect, progressive, negative} + speak gives
     "won't have been being spoken"; question fronting is sentence level
     (see split_fronted_aux).
     """
-    if forms is None:
-        if lexicon is None:
-            raise RealizationError("need a lexicon or explicit forms")
-        forms = verb_forms(lexicon, pred)
+    forms = verb_forms(lexicon, pred)
     agr = (ops.tense if ops.tense != "future" else "present", ops.number)
 
     chain: list[tuple[str, str]] = []      # (kind, lemma)

@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
+from .errors import SemqaError
+
 POSITION_PREDS = frozenset({"p:be-in", "p:be-on", "p:be-at"})
 ANY_POSITION_PRED = "p:be-LOC"
 HAVE_PRED = "p:have"
 
 
-class SemanticsError(Exception):
+class SemanticsError(SemqaError):
     pass
 
 

@@ -251,14 +251,14 @@ def test_criterion_5_embedded_clause(lex, matcher):
     now_text = realize_answer(RealizationRequest(now, mode="natural"), lex)
     past = tracker.answer_question(matcher.parse_single("Where was Mary?"))
     past_texts = [realize_answer(RealizationRequest(
-        type(past)(kind="content", bindings=[b], focus="where"), mode="natural"), lex)
+        type(past)(kind="content", bindings=[b]), mode="natural"), lex)
         for b in past.bindings]
 
     excl = make_tracker(lex, include_current_position=False)
     excl.ingest(matcher.parse_single(sentence))
     past_excl = excl.answer_question(matcher.parse_single("Where was Mary?"))
     excl_texts = [realize_answer(RealizationRequest(
-        type(past_excl)(kind="content", bindings=[b], focus="where"),
+        type(past_excl)(kind="content", bindings=[b]),
         mode="natural"), lex) for b in past_excl.bindings]
 
     ok = (now_text == "In the garden."

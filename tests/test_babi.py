@@ -144,6 +144,29 @@ def test_unparseable_statement_fails_only_that_story(lex):
     assert "error" in results[0].produced
 
 
+def test_programming_error_propagates_out_of_run_task(lex, monkeypatch):
+    # only typed engine failures become failed answers; a bug must crash
+    def broken(*args):
+        raise AttributeError("bug")
+    monkeypatch.setattr("semqa.context.unify", broken)
+    doc = ("1 Bill handed the apple to Jeff.\n"
+           "2 What did Bill give to Jeff?\tapple\t1\n")
+    with pytest.raises(AttributeError, match="bug"):
+        run_task(parse_babi_file(doc), lex, TaskConfig())
+
+
+def test_every_engine_error_is_a_semqa_error():
+    from semqa import SemqaError
+    from semqa.context import ContextError
+    from semqa.lexicon import LexiconError
+    from semqa.matcher import MatchError
+    from semqa.nlg import RealizationError
+    from semqa.semantics import SemanticsError
+    for cls in (MatchError, ContextError, LexiconError, SemanticsError,
+                RealizationError, BabiFormatError, VocabularyGapError):
+        assert issubclass(cls, SemqaError), cls
+
+
 # -- scoring --------------------------------------------------------------------
 
 def test_normalization():

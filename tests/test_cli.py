@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 import semqa
 from semqa.cli import _load_lexicon, main
 from semqa.semantics import render
@@ -131,3 +133,32 @@ def test_malformed_task_file_is_named(tmp_path, capsys):
     assert main(["run", "--task", "2", "--data", str(tmp_path), "--out",
                  str(tmp_path / "res.csv")]) == 2
     assert "error: qa2_train.txt: line 2: malformed line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pred", "frobnicate"], "error: 'p:frobnicate' lacks forms"),
+    (["--pred", "parl", "--french", "--ops", "past"],
+     "error: French demo only conjugates the future, not past"),
+])
+def test_unrealizable_verb_group_is_an_error_not_a_traceback(capsys, argv, message):
+    assert main(["generate", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_repl_reports_engine_errors_and_goes_on(monkeypatch, capsys):
+    lines = iter(["Mary frobnicated.", "Where is Mary?", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda _="": next(lines))
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out
+    assert "! UnknownWordError: unknown word 'frobnicated'" in out
+    assert "I don't know." in out
+
+
+def test_repl_lets_a_programming_error_through(monkeypatch):
+    def broken(*args):
+        raise AttributeError("bug")
+    monkeypatch.setattr("semqa.context.unify", broken)
+    lines = iter(["Mary went to the kitchen.", "Did Mary go to the kitchen?", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda _="": next(lines))
+    with pytest.raises(AttributeError, match="bug"):
+        main(["repl"])

@@ -10,6 +10,7 @@ from semqa.context import (
     have_events,
     latest_match,
 )
+from semqa.nlg import RealizationRequest, realize_answer
 from semqa.semantics import bundle, entity, render
 
 MARY = entity("r:mary", "proper", "female", "singular")
@@ -299,3 +300,34 @@ def test_intersection_bindings_come_from_unifying_items(lex, matcher):
     content = t.answer_question(q)
     for idx in content.support:
         assert unify(q.ls, t.items[idx - 1].ls, lex) is not None
+
+
+# -- who-position and polar paths ------------------------------------------------
+
+HANDOVER = ["Mary went to the kitchen.", "John went to the kitchen.",
+            "Mary picked up the milk.", "Mary gave the milk to John."]
+
+
+@pytest.mark.parametrize("question, keyword, support", [
+    ("Who is in the kitchen?", "mary,john", [1, 2]),         # who-position
+    ("Who is in the garden?", "unknown", []),
+    ("Does John have the milk?", "yes", []),                 # polar have'
+    ("Does Mary have the milk?", "no", []),
+    ("Did John receive the milk?", "yes", [4]),              # polar receive
+    ("Did Mary receive the milk?", "yes", [3]),
+    ("Did Mary go to the kitchen?", "yes", [1]),             # polar unify fallback
+    ("Did Mary go to the garden?", "no", []),
+    ("Did Mary give the milk to John?", "yes", [4]),
+    ("Did John give the milk to Mary?", "no", []),
+])
+def test_handover_answers(lex, matcher, question, keyword, support):
+    t = ingest_all(matcher, make_tracker(lex), HANDOVER)
+    content = answer(matcher, t, question)
+    assert realize_answer(RealizationRequest(content, mode="keyword"), lex) == keyword
+    assert content.support == support
+
+
+def test_strict_receive_denies_a_self_acquisition_on_a_polar_question(lex, matcher):
+    t = ingest_all(matcher, make_tracker(lex, strict_receive=True), HANDOVER)
+    assert answer(matcher, t, "Did Mary receive the milk?").polarity == "no"
+    assert answer(matcher, t, "Did John receive the milk?").polarity == "yes"

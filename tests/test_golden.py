@@ -21,6 +21,8 @@ and review the diff.
 
 from __future__ import annotations
 
+import difflib
+import itertools
 from importlib import resources
 from pathlib import Path
 
@@ -115,12 +117,10 @@ def test_engine_output_matches_golden_snapshot(lex):
     expected = GOLDEN.read_text("utf-8")
     actual = build_snapshot(lex)
     if actual != expected:
-        diff = [f"line {i}: expected {e!r}\n        got {a!r}"
-                for i, (e, a) in enumerate(zip(expected.splitlines(),
-                                               actual.splitlines()), start=1)
-                if e != a]
+        diff = difflib.unified_diff(expected.splitlines(), actual.splitlines(),
+                                    "golden snapshot", "engine output", lineterm="")
         raise AssertionError("engine output differs from the golden snapshot:\n"
-                             + "\n".join(diff[:10] or ["(length differs)"]))
+                             + "\n".join(itertools.islice(diff, 200)))
 
 
 if __name__ == "__main__":

@@ -148,10 +148,10 @@ def test_keyword_outputs_stay_bare(lex):
     position = State("p:be-in", entity("r:kitchen", "definite"), UNSPECIFIED)
     samples = [
         realize_answer(RealizationRequest(
-            AnswerContent("content", bindings=[position], focus="where"),
+            AnswerContent("content", bindings=[position]),
             mode="keyword"), lex),
         realize_answer(RealizationRequest(
-            AnswerContent("content", bindings=[DANIEL], focus="who"),
+            AnswerContent("content", bindings=[DANIEL]),
             mode="keyword"), lex),
         realize_answer(RealizationRequest(
             AnswerContent("count", bindings=[DANIEL]), mode="keyword"), lex),
@@ -164,6 +164,6 @@ def test_keyword_outputs_stay_bare(lex):
 def test_natural_positions_join(lex):
     pos = [State("p:be-in", entity("r:kitchen", "definite"), UNSPECIFIED),
            State("p:be-in", entity("r:garden", "definite"), UNSPECIFIED)]
-    content = AnswerContent("content", bindings=pos, focus="where")
+    content = AnswerContent("content", bindings=pos)
     got = realize_answer(RealizationRequest(content, mode="natural"), lex)
     assert got == "In the kitchen and in the garden."
