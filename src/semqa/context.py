@@ -1,12 +1,19 @@
 """Append-only discourse context with set-intersection question answering.
 
 Statements only ever add items; nothing is updated or deleted, so negation
-coexists with the history it negates.  Questions intersect the stored items
+coexists with the history it negates.  An item keeps the parsed logical
+structure itself, shared with the matcher's parse cache; only the branches
+above a resolved pronoun are rebuilt.  Questions intersect the stored items
 against their own logical structure: present-tense position questions
 return the latest still-valid element, past tense returns the list.
 Possession questions replay the have' ledger; transfer questions collect
 every matching item in context order (`latest_match` keeps only the last,
 as the bAbI datasets expect).
+
+A question reads the items in one pass, or two for a polar "no" and a
+past-tense "where", never once per entity: the contrast of a polar "no"
+("No, but Mary is.") and "Who is in X?" take every located entity's
+current position from one fold over the items.
 """
 
 from __future__ import annotations
@@ -105,32 +112,48 @@ class HaveEvent:
 def have_events(ls, index: int = 0) -> list[HaveEvent]:
     """Extract possession-change leaves from a logical structure."""
     out: list[HaveEvent] = []
-
-    def leaf(term, positive, causer, counterparty):
-        if isinstance(term, State) and term.pred == "p:have":
-            if isinstance(term.arg1, Referent) and isinstance(term.arg2, Referent):
-                out.append(HaveEvent(term.arg1, term.arg2, positive, causer,
-                                     counterparty, index))
-
-    def walk(term, causer=None, counterparty=False):
-        if isinstance(term, Wrapped):
-            if term.op == "BECOME":
-                inner = term.inner
-                if isinstance(inner, Wrapped) and inner.op == "NOT":
-                    leaf(inner.inner, False, causer, counterparty)
-                else:
-                    leaf(inner, True, causer, counterparty)
-            elif term.op in ("INGR", "NOT"):
-                walk(term.inner, causer, counterparty)
-        elif isinstance(term, Linked):
-            if term.link == "CAUSE" and isinstance(term.left, Activity):
-                causer = term.left.actor
-            pair = term.link == "conj"
-            walk(term.left, causer, counterparty or pair)
-            walk(term.right, causer, counterparty or pair)
-
-    walk(ls)
+    _collect_have_events(ls, index, None, False, out)
     return out
+
+
+# The walks below recurse through module functions, not through nested
+# closures: a closure that calls itself is a reference cycle, which every
+# call would leave for the cyclic garbage collector.
+
+def _collect_have_events(term, index: int, causer, counterparty: bool,
+                         out: list[HaveEvent]):
+    if isinstance(term, Wrapped):
+        if term.op == "BECOME":
+            leaf, positive = term.inner, True
+            if isinstance(leaf, Wrapped) and leaf.op == "NOT":
+                leaf, positive = leaf.inner, False
+            if isinstance(leaf, State) and leaf.pred == "p:have" \
+                    and isinstance(leaf.arg1, Referent) and isinstance(leaf.arg2, Referent):
+                out.append(HaveEvent(leaf.arg1, leaf.arg2, positive, causer,
+                                     counterparty, index))
+        elif term.op in ("INGR", "NOT"):
+            _collect_have_events(term.inner, index, causer, counterparty, out)
+    elif isinstance(term, Linked):
+        if term.link == "CAUSE" and isinstance(term.left, Activity):
+            causer = term.left.actor
+        counterparty = counterparty or term.link == "conj"
+        _collect_have_events(term.left, index, causer, counterparty, out)
+        _collect_have_events(term.right, index, causer, counterparty, out)
+
+
+def _position_states(term, found: list[State] | None = None) -> list[State]:
+    """Positional states asserted by one item (motion results included)."""
+    if found is None:
+        found = []
+    if isinstance(term, State) and term.pred in _POSITION_PREDS:
+        if isinstance(term.arg1, Referent) and isinstance(term.arg2, Referent):
+            found.append(term)
+    elif isinstance(term, Wrapped) and term.op != "NOT":
+        _position_states(term.inner, found)
+    elif isinstance(term, Linked):
+        _position_states(term.left, found)
+        _position_states(term.right, found)
+    return found
 
 
 class ContextTracker:
@@ -190,45 +213,35 @@ class ContextTracker:
 
     # -- retrieval --------------------------------------------------------
 
-    def _position_states(self, ls):
-        """Positional states asserted by one item (motion results included)."""
-        found = []
-
-        def walk(term):
-            if isinstance(term, State) and term.pred in _POSITION_PREDS:
-                if isinstance(term.arg1, Referent) and isinstance(term.arg2, Referent):
-                    found.append(term)
-            elif isinstance(term, Wrapped) and term.op != "NOT":
-                walk(term.inner)
-            elif isinstance(term, Linked):
-                walk(term.left)
-                walk(term.right)
-
-        walk(ls)
-        return found
-
     def positions_of(self, entity: Referent) -> list[PositionEntry]:
         """Every position asserted for the entity, in context order;
         bundle membership counts."""
         out = []
         for item in self.items:
-            for state in self._position_states(item.ls):
+            for state in _position_states(item.ls):
                 if referent_matches(entity, state.arg2):
-                    out.append(PositionEntry(state, item.operators.polarity,
-                                             item.index, item.operators.tense))
+                    out.append(_entry(state, item))
         return out
 
-    def current_position(self, entity: Referent):
-        """Latest still-valid position: negatives disqualify a location
-        without erasing the earlier positives."""
-        cur: PositionEntry | None = None
+    def current_position(self, entity: Referent) -> PositionEntry | None:
+        """Latest still-valid position (see `_advance`)."""
+        cur = None
         for entry in self.positions_of(entity):
-            if entry.polarity == "negative":
-                if cur is not None and _same_location(cur.state, entry.state):
-                    cur = None
-            else:
-                cur = entry
+            cur = _advance(cur, entry)
         return cur
+
+    def _located_positions(self) -> list[tuple[Referent, PositionEntry | None]]:
+        """Every entity with an asserted position, in first-seen order, with
+        its current position: one pass over the items, not one per entity."""
+        found: dict[str | None, list] = {}   # sense -> [first referent, current]
+        for item in self.items:
+            for state in _position_states(item.ls):
+                entry = _entry(state, item)
+                placed = state.arg2      # an entity, or each bundle member
+                for ref in (placed,) if placed.kind == "entity" else placed.members:
+                    slot = found.setdefault(ref.sense, [ref, None])
+                    slot[1] = _advance(slot[1], entry)
+        return [(ref, cur) for ref, cur in found.values()]
 
     def past_positions(self, entity: Referent) -> list[PositionEntry]:
         entries = [e for e in self.positions_of(entity) if e.polarity == "positive"]
@@ -285,18 +298,6 @@ class ContextTracker:
         rows.sort(key=lambda r: -r[1])
         return rows
 
-    def _located_entities(self) -> list[Referent]:
-        seen: list[Referent] = []
-        for item in self.items:
-            for state in self._position_states(item.ls):
-                refs = [state.arg2] if state.arg2.kind == "entity" \
-                    else list(getattr(state.arg2, "members", ()))
-                for ref in refs:
-                    if ref.kind == "entity" and not any(
-                            r.sense == ref.sense for r in seen):
-                        seen.append(ref)
-        return seen
-
     # -- question answering -------------------------------------------------
 
     def answer_question(self, prop: Proposition) -> AnswerContent:
@@ -327,7 +328,7 @@ class ContextTracker:
     def _answer_where(self, ls, ops: OperatorSet) -> AnswerContent:
         if not isinstance(ls, State):
             # "Where did Mary go?" carries the query inside the result state
-            states = [s for s in self._position_states(ls)
+            states = [s for s in _position_states(ls)
                       if isinstance(s.arg1, Referent) and s.arg1.is_query]
             if not states:
                 raise UnsupportedQuestionError("no position slot to solve for")
@@ -353,10 +354,9 @@ class ContextTracker:
             contrast = None
             support = [cur.index] if cur else []
             if not yes:
-                for other in self._located_entities():
+                for other, other_cur in self._located_positions():
                     if referent_matches(other, entity) and referent_matches(entity, other):
                         continue
-                    other_cur = self.current_position(other)
                     if other_cur is not None and _same_location(other_cur.state, ls):
                         contrast = other
                         support.append(other_cur.index)
@@ -390,8 +390,7 @@ class ContextTracker:
         """Entities whose current position matches the queried location."""
         bindings = []
         support = []
-        for ref in self._located_entities():
-            cur = self.current_position(ref)
+        for ref, cur in self._located_positions():
             if cur is not None and _same_location(cur.state, ls):
                 bindings.append(ref)
                 support.append(cur.index)
@@ -481,6 +480,21 @@ def item_receive_candidates(item: ContextItem, strict: bool) -> list[HaveEvent]:
                 continue
         out.append(ev)
     return out
+
+
+def _advance(cur: PositionEntry | None, entry: PositionEntry) -> PositionEntry | None:
+    """The current-position rule, one entry at a time: a negative
+    disqualifies the same location without erasing the earlier positives."""
+    if entry.polarity != "negative":
+        return entry
+    if cur is not None and _same_location(cur.state, entry.state):
+        return None
+    return cur
+
+
+def _entry(state: State, item: ContextItem) -> PositionEntry:
+    return PositionEntry(state, item.operators.polarity, item.index,
+                         item.operators.tense)
 
 
 def _position_value(state: State) -> State:

@@ -13,8 +13,9 @@ that knows it.
 indices, literal `emit=` senses and `vc=` template names included, checks
 that a sense with a frame-driven template reaches a selectional frame
 along its entails chain, and computes the derived tables (relation index,
-is-a closure, entails bases) once.  A malformed record fails at load with
-the line that holds it, never later when a sentence reaches it.  Nothing
+is-a closure, entails bases) once.  A malformed record, or one that names
+an unknown sense, fails at load with the line that holds it, never later
+when a sentence reaches it.  Nothing
 changes after load, so a lexicon is safe to share across threads.
 """
 
@@ -240,42 +241,45 @@ class Lexicon:
             raise LexiconError(f"unknown relation kind {kind!r}", line)
         self._rel_index.setdefault((source, kind), []).append(target)
 
-    def _validate(self, phrase_lines: list[int], sense_lines: dict[str, int]):
+    def _validate(self, phrase_lines: list[int], sense_lines: dict[str, int],
+                  references: list[tuple[int, list[str]]]):
+        """Referential integrity, once every record is in.  `references`
+        holds the line and fields of every form, rel and frame record."""
         for rec, line in zip(self.phrase_records, phrase_lines):
             if rec.kind == "literal" and rec.emit not in self.senses:
                 raise LexiconError(f"literal {rec.id!r} emits unknown sense {rec.emit!r}", line)
-        for surface, links in self.forms.items():
-            for sense_id, _ in links:
-                if sense_id not in self.senses:
-                    raise LexiconError(f"form {surface!r} links unknown sense {sense_id!r}")
-        for (source, kind), targets in self._rel_index.items():
-            if source not in self.senses:
-                raise LexiconError(f"relation from unknown sense {source!r}")
-            for target in targets:
+        for line, parts in references:
+            if parts[0] == "form" and parts[3] not in self.senses:
+                raise LexiconError(f"form {parts[1].lower()!r} links unknown sense "
+                                   f"{parts[3]!r}", line)
+            if parts[0] == "rel":
+                source, kind, target = parts[1:]
+                if source not in self.senses:
+                    raise LexiconError(f"relation from unknown sense {source!r}", line)
                 if target not in self.senses and target not in CATEGORIES:
-                    raise LexiconError(f"relation to unknown sense {target!r}")
+                    raise LexiconError(f"relation to unknown sense {target!r}", line)
                 if kind == "entails" and target in self.senses \
                         and self.senses[target].category != "predicate":
-                    raise LexiconError(f"entails target {target!r} is not a predicate")
-        for frame in self.frames.values():
-            if frame.predicate not in self.senses:
-                raise LexiconError(f"frame for unknown predicate {frame.predicate!r}")
-            if not frame.roles:
-                raise LexiconError(f"frame {frame.predicate!r} has no roles")
-            names = [r.name for r in frame.roles]
-            if len(names) != len(set(names)):
-                raise LexiconError(f"duplicate role in frame {frame.predicate!r}")
-            for r in frame.roles:
-                if r.name not in ROLE_NAMES:
-                    raise LexiconError(f"unknown role name {r.name!r}")
-                if r.category not in self.senses and r.category not in CATEGORIES:
-                    raise LexiconError(
-                        f"frame {frame.predicate!r} role {r.name!r} references "
-                        f"unknown category {r.category!r}")
+                    raise LexiconError(f"entails target {target!r} is not a predicate", line)
+            if parts[0] == "frame":
+                frame = self.frames[parts[1]]
+                if frame.predicate not in self.senses:
+                    raise LexiconError(f"frame for unknown predicate {frame.predicate!r}", line)
+                names = [r.name for r in frame.roles]
+                if len(names) != len(set(names)):
+                    raise LexiconError(f"duplicate role in frame {frame.predicate!r}", line)
+                for r in frame.roles:
+                    if r.name not in ROLE_NAMES:
+                        raise LexiconError(f"unknown role name {r.name!r}", line)
+                    if r.category not in self.senses and r.category not in CATEGORIES:
+                        raise LexiconError(
+                            f"frame {frame.predicate!r} role {r.name!r} references "
+                            f"unknown category {r.category!r}", line)
         for sense in self.senses.values():
             dims = [d for d in DIMENSIONALITY if d in sense.attributes]
             if len(dims) > 1:
-                raise LexiconError(f"{sense.id!r} carries multiple dimensionality classes")
+                raise LexiconError(f"{sense.id!r} carries multiple dimensionality classes",
+                                   sense_lines[sense.id])
             vc = sense.attr("vc")
             if vc is not None and vc not in TEMPLATES:
                 raise LexiconError(f"unknown template {vc!r} in vc= of {sense.id!r}; "
@@ -403,6 +407,7 @@ def load_lexicon(source: str) -> Lexicon:
     lex = Lexicon()
     phrase_lines: list[int] = []
     sense_lines: dict[str, int] = {}
+    references: list[tuple[int, list[str]]] = []    # checked once all senses are in
     for lineno, raw in enumerate(source.splitlines(), start=1):
         parts = _split_record(raw, lineno)
         if not parts:
@@ -420,10 +425,12 @@ def load_lexicon(source: str) -> Lexicon:
                 raise LexiconError("form record is `form <surface> -> <sense> {attrs}`", lineno)
             attrs = _parse_attrs(parts[4], lineno) if len(parts) > 4 else frozenset()
             lex._add_form(parts[1], parts[3], attrs, lineno)
+            references.append((lineno, parts))
         elif kind == "rel":
             if len(parts) != 4:
                 raise LexiconError("rel record is `rel <from> <kind> <to>`", lineno)
             lex._add_relation(parts[1], parts[2], parts[3], lineno)
+            references.append((lineno, parts))
         elif kind == "frame":
             if len(parts) < 3:
                 raise LexiconError("frame record needs predicate and roles", lineno)
@@ -441,12 +448,13 @@ def load_lexicon(source: str) -> Lexicon:
             if parts[1] in lex.frames:
                 raise LexiconError(f"duplicate frame for {parts[1]!r}", lineno)
             lex.frames[parts[1]] = SelectionalFrame(parts[1], tuple(roles))
+            references.append((lineno, parts))
         elif kind == "phrase":
             lex.phrase_records.append(_parse_phrase(parts, lineno))
             phrase_lines.append(lineno)
         else:
             raise LexiconError(f"unknown record kind {kind!r}", lineno)
-    lex._validate(phrase_lines, sense_lines)
+    lex._validate(phrase_lines, sense_lines, references)
     lex._isa = lex._isa_closure()
     lex._entails_base = {s: lex._entails_chain(s)[-1] for s in lex.senses}
     return lex

@@ -428,17 +428,28 @@ def walk_referents(term: Arg):
 
 
 def map_referents(term: Arg, fn) -> Arg:
-    """Rebuild the term with fn applied to every referent."""
+    """The term with fn applied to every referent.  Only the subterms above
+    a changed referent are rebuilt; every other subterm, and the whole term
+    when fn changes nothing, is returned as it is."""
     if isinstance(term, Referent):
         return fn(term)
     if isinstance(term, State):
-        return State(term.pred, map_referents(term.arg1, fn), map_referents(term.arg2, fn))
+        arg1, arg2 = map_referents(term.arg1, fn), map_referents(term.arg2, fn)
+        if arg1 is term.arg1 and arg2 is term.arg2:
+            return term
+        return State(term.pred, arg1, arg2)
     if isinstance(term, Activity):
+        actor = fn(term.actor)
         undergoer = fn(term.undergoer) if term.undergoer is not None else None
-        return Activity(fn(term.actor), term.pred, undergoer)
+        if actor is term.actor and undergoer is term.undergoer:
+            return term
+        return Activity(actor, term.pred, undergoer)
     if isinstance(term, Wrapped):
-        return Wrapped(term.op, map_referents(term.inner, fn))
+        inner = map_referents(term.inner, fn)
+        return term if inner is term.inner else Wrapped(term.op, inner)
     if isinstance(term, Linked):
-        return Linked(map_referents(term.left, fn), term.link,
-                      map_referents(term.right, fn))
+        left, right = map_referents(term.left, fn), map_referents(term.right, fn)
+        if left is term.left and right is term.right:
+            return term
+        return Linked(left, term.link, right)
     return term

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,21 @@ def lex():
 @pytest.fixture(scope="session")
 def matcher(lex):
     return Matcher(lex)
+
+
+@pytest.fixture(scope="session")
+def synth():
+    """The benchmark's story generator and world simulator, `perfbench/synth.py`;
+    no bytecode cache is written into the benchmark's directory."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("synth")
+    finally:
+        sys.path.remove(perfbench)
+        sys.dont_write_bytecode = saved
 
 
 def make_tracker(lex, **kw) -> ContextTracker:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from conftest import ingest_all, make_tracker
@@ -11,7 +13,7 @@ from semqa.context import (
     latest_match,
 )
 from semqa.nlg import RealizationRequest, realize_answer
-from semqa.semantics import bundle, entity, render
+from semqa.semantics import bundle, entity, render, walk_referents
 
 MARY = entity("r:mary", "proper", "female", "singular")
 DANIEL = entity("r:daniel", "proper", "male", "singular")
@@ -331,3 +333,103 @@ def test_strict_receive_denies_a_self_acquisition_on_a_polar_question(lex, match
     t = ingest_all(matcher, make_tracker(lex, strict_receive=True), HANDOVER)
     assert answer(matcher, t, "Did Mary receive the milk?").polarity == "no"
     assert answer(matcher, t, "Did John receive the milk?").polarity == "yes"
+
+
+# -- one pass per question, shared structures, no cyclic garbage ----------------
+
+def _mixed_tracker(lex, matcher, synth, seed, statements, locations=False):
+    """A tracker fed a synthetic mixed story (motion with pronouns and
+    pairs, possession; with `locations`, also "is in", "is not in" and
+    "no longer" lines).  Yields the rng, world and tracker after every
+    statement."""
+    rng = synth.rng_for(seed, "context")
+    w, t = synth.World(), make_tracker(lex)
+    for _ in range(statements):
+        if locations and w.position and rng.random() < 0.25:
+            text = synth.gen_location(rng, w)
+        else:
+            text = synth.mixed_statement(rng, w)
+        t.ingest(matcher.parse_single(text))
+        yield rng, w, t
+
+
+def test_answering_leaves_no_cyclic_garbage(lex, matcher, synth):
+    *_, (rng, w, t) = _mixed_tracker(lex, matcher, synth, 7, 300)
+    statements = [matcher.parse_single(s) for s in
+                  ("John went to the kitchen.", "He went to the garden.")]
+    questions = [(kind, matcher.parse_single(synth.question_text(
+        synth.mixed_question(rng, w, kind)))) for kind in synth.PROBE_MIX]
+    gc.collect()
+    gc.disable()      # an automatic collection would hide what a call leaves
+    try:
+        for prop in statements:
+            t.ingest(prop)
+            assert gc.collect() == 0, prop.source
+        for kind, prop in questions:
+            t.answer_question(prop)
+            assert gc.collect() == 0, kind
+    finally:
+        gc.enable()
+
+
+def test_statements_share_the_parsed_structure(lex, matcher):
+    t = make_tracker(lex)
+    prop = matcher.parse_single("John went to the kitchen.")
+    t.ingest(prop)
+    assert t.items[-1].ls is prop.ls
+    john = prop.ls.left.actor
+
+    prop = matcher.parse_single("He went to the kitchen.")
+    t.ingest(prop)
+    ls = t.items[-1].ls      # do'(he,[go'(he)]) & INGR be-in'(the kitchen,he)
+    assert ls.left.actor is john and ls.right.inner.arg2 is john
+    assert ls.right.inner.arg1 is prop.ls.right.inner.arg1
+
+    prop = matcher.parse_single("He gave the milk to Mary.")
+    t.ingest(prop)
+    ls = t.items[-1].ls      # [do'(he,0)] CAUSE [BECOME NOT have'(he,milk) ∧ BECOME have'(mary,milk)]
+    assert ls.left.actor is john
+    assert ls.right.right is prop.ls.right.right
+
+
+def _per_entity_rule(entries):
+    """The current-position rule on one entity's own entries."""
+    cur = None
+    for e in entries:
+        if e.polarity == "positive":
+            cur = e
+        elif cur is not None and (cur.state.pred, cur.state.arg1.sense) \
+                == (e.state.pred, e.state.arg1.sense):
+            cur = None
+    return cur
+
+
+def _expected_located(t):
+    """Every positioned entity with its per-entity current position, in the
+    order of its first position (ties: the order named in that item)."""
+    def named(item):
+        return [m.sense for r in walk_referents(item.ls)
+                for m in (r.members if r.kind == "bundle" else (r,))]
+
+    refs = {}
+    for item in t.items:
+        for r in walk_referents(item.ls):
+            for m in (r.members if r.kind == "bundle" else (r,)):
+                if m.kind == "entity":
+                    refs.setdefault(m.sense, m)
+    entries = {s: t.positions_of(r) for s, r in refs.items()}
+    located = sorted((s for s in refs if entries[s]), key=lambda s: (
+        entries[s][0].index, named(t.items[entries[s][0].index - 1]).index(s)))
+    return [(refs[s].sense, _per_entity_rule(entries[s])) for s in located]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_pass_fold_agrees_with_the_per_entity_rule(lex, matcher, synth, seed):
+    negatives = 0
+    for _, _, t in _mixed_tracker(lex, matcher, synth, seed, 80, locations=True):
+        negatives += t.items[-1].operators.polarity == "negative"
+        located = t._located_positions()
+        assert [(ref.sense, cur) for ref, cur in located] == _expected_located(t)
+        for ref, cur in located:
+            assert t.current_position(ref) == cur
+    assert negatives

@@ -103,6 +103,17 @@ def test_dangling_sense_rejected():
         load_lexicon('form ghost -> p:missing {}\n')
 
 
+@pytest.mark.parametrize("record, message", [
+    ("form ghost -> p:missing {}", "form 'ghost' links unknown sense 'p:missing'"),
+    ("rel r:a is-a r:b", "relation from unknown sense 'r:a'"),
+    ("frame p:x actor:r:y", "frame for unknown predicate 'p:x'"),
+])
+def test_dangling_reference_names_its_line(record, message):
+    with pytest.raises(LexiconError, match=f"^line 2: {message}$") as err:
+        load_lexicon(f"# a comment line\n{record}\n")
+    assert err.value.line == 2
+
+
 def test_pos_tags_rejected():
     with pytest.raises(LexiconError, match="part-of-speech"):
         load_lexicon('sense x:bad referent {noun} "tagged"\n')

@@ -18,6 +18,7 @@ from semqa.semantics import (
     build_transfer,
     bundle,
     entity,
+    map_referents,
     query,
     referent_matches,
     render,
@@ -84,6 +85,18 @@ def test_transfer_give():
     ls = build_transfer(MARY, MILK, BILL, causative=True, direction="to")
     assert render(ls) == ("[do'(mary,0)] CAUSE [BECOME NOT have'(mary,the milk)"
                           " ∧ BECOME have'(bill,the milk)]")
+
+
+def test_map_referents_returns_unchanged_terms_as_they_are(lex):
+    give = build_transfer(MARY, MILK, BILL, causative=True, direction="to")
+    motion = build_active_achievement(lex, MARY, "p:go", KITCHEN)
+    for ls in (give, motion):
+        assert map_referents(ls, lambda r: r) is ls
+    # only the path down to a changed referent is rebuilt
+    swapped = map_referents(give, lambda r: JEFF if r == BILL else r)
+    assert render(swapped) == ("[do'(mary,0)] CAUSE [BECOME NOT have'(mary,the milk)"
+                               " ∧ BECOME have'(jeff,the milk)]")
+    assert swapped.left is give.left and swapped.right.left is give.right.left
 
 
 def test_transfer_take():
