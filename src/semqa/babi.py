@@ -126,8 +126,8 @@ def story_vocabulary(stories: list[list[BabiRecord]]) -> set[str]:
 
 def check_vocabulary(lexicon: Lexicon, stories: list[list[BabiRecord]]) -> list[str]:
     """Words with no form link and no literal phrase claiming them."""
-    literal_words = {value for rec in lexicon.phrase_records if rec.kind == "literal"
-                     for sel in rec.selectors for key, value in sel if key == "word"}
+    literal_words = {sel.word for rec in lexicon.phrase_records if rec.kind == "literal"
+                     for sel in rec.selectors}
     missing = []
     for word in sorted(story_vocabulary(stories)):
         if not lexicon.senses_of(word) and word not in literal_words:

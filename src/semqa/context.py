@@ -244,12 +244,15 @@ class ContextTracker:
         return [(ref, cur) for ref, cur in found.values()]
 
     def past_positions(self, entity: Referent) -> list[PositionEntry]:
-        entries = [e for e in self.positions_of(entity) if e.polarity == "positive"]
+        """Each location the entity was at, once, in context order; one
+        read of the items gives both these and the current position."""
+        cur = None
         deduped: list[PositionEntry] = []
-        for e in entries:
-            if not any(_same_location(d.state, e.state) for d in deduped):
+        for e in self.positions_of(entity):
+            cur = _advance(cur, e)
+            if e.polarity == "positive" \
+                    and not any(_same_location(d.state, e.state) for d in deduped):
                 deduped.append(e)
-        cur = self.current_position(entity)
         if not self.config.include_current_position and cur is not None:
             deduped = [e for e in deduped if not _same_location(e.state, cur.state)]
         return deduped

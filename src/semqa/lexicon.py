@@ -13,15 +13,22 @@ that knows it.
 indices, literal `emit=` senses and `vc=` template names included, checks
 that a sense with a frame-driven template reaches a selectional frame
 along its entails chain, and computes the derived tables (relation index,
-is-a closure, entails bases) once.  A malformed record, or one that names
-an unknown sense, fails at load with the line that holds it, never later
-when a sentence reaches it.  Nothing
-changes after load, so a lexicon is safe to share across threads.
+is-a closure, entails bases) once.  Each `sel:` part becomes a `Selector`
+record with one field per condition key.  Its `sense=`, `not-sense=` and
+`reach=` values must name senses and its `cat=` values universals.  A
+consolidation's trigger must be named by a `sense=` or `attr=` condition
+of one of its selectors (a name inside `any=` does not count), so that
+the record matches only where its trigger is present; the matcher relies
+on this.  A malformed record, or one that names an unknown sense, fails
+at load with the line that holds it, never later when a sentence reaches
+it.  Nothing changes after load, so a lexicon is safe to share across
+threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SemqaError
 
@@ -32,7 +39,7 @@ ROLE_NAMES = ("actor", "undergoer", "destination", "source", "recipient")
 DIMENSIONALITY = {"enclosure": "in", "surface": "on", "locale": "at"}
 # banned part-of-speech vocabulary; the model uses semantic universals only
 POS_TAGS = frozenset({"noun", "verb", "adjective", "adverb"})
-# keys of a phrase selector condition `key=value`
+# keys of a phrase selector condition `key=value`, in `Selector` field order
 SELECTOR_KEYS = ("word", "sense", "not-sense", "cat", "reach", "attr", "not-attr", "any")
 # `vc=` template names; the matcher builds one logical structure per name
 TEMPLATES = frozenset({"be-state", "have-state", "motion", "transfer", "acquire",
@@ -99,6 +106,26 @@ class SelectionalFrame:
         return None
 
 
+class Selector(NamedTuple):
+    """The conditions one window element must meet, parsed from a `sel:`
+    part.  Each field holds the values of one condition key, in
+    `SELECTOR_KEYS` order; an empty field asks nothing.  A named tuple
+    rather than a frozen dataclass, because it is cheaper to build and
+    every load builds dozens."""
+
+    word: str | None = None                  # word=: the surface form
+    senses: frozenset[str] = frozenset()     # sense=: each is a candidate sense
+    not_senses: frozenset[str] = frozenset()  # not-sense=: none is
+    cats: frozenset[str] = frozenset()       # cat=: each universal is held
+    reach: frozenset[str] = frozenset()      # reach=: a referent sense is-a each
+    attrs: frozenset[str] = frozenset()      # attr=: each attribute is present
+    not_attrs: frozenset[str] = frozenset()  # not-attr=: none is
+    any_of: tuple[frozenset[str], ...] = ()  # any=a|b: one of each group is
+
+
+_SELECTOR_FIELDS = dict(zip(SELECTOR_KEYS, Selector._fields))
+
+
 @dataclass(frozen=True)
 class PhraseRecord:
     """A parsed `phrase` record; the matcher applies it as it stands."""
@@ -106,8 +133,7 @@ class PhraseRecord:
     id: str
     kind: str              # literal | consolidation
     trigger: str
-    # one tuple of (key, value) conditions per window element
-    selectors: tuple[tuple[tuple[str, str], ...], ...] = ()
+    selectors: tuple[Selector, ...] = ()     # one per window element
     retain: int | str | None = None     # 1-based window index or "bundle"
     float_indices: tuple[int, ...] = ()
     labels: tuple[tuple[int, str], ...] = ()
@@ -158,6 +184,10 @@ class Lexicon:
         if sense_id not in self.senses or category not in self.senses:
             raise LexiconError(f"unknown identifier in {sense_id!r} -> {category!r}")
         return category in self._isa[sense_id]
+
+    def is_a_closure(self, sense_id: str) -> frozenset[str]:
+        """Every sense `sense_id` reaches via zero or more is-a edges."""
+        return self._isa[sense_id]
 
     def qualia_expand(self, referent: str) -> list[tuple[str, str]]:
         """Part (has-a) and telic/agentive (does-x) associations of a referent.
@@ -248,6 +278,20 @@ class Lexicon:
         for rec, line in zip(self.phrase_records, phrase_lines):
             if rec.kind == "literal" and rec.emit not in self.senses:
                 raise LexiconError(f"literal {rec.id!r} emits unknown sense {rec.emit!r}", line)
+            for sel in rec.selectors:
+                named = sel.senses | sel.not_senses | sel.reach
+                if not self.senses.keys() >= named:
+                    raise LexiconError(f"phrase {rec.id!r} selects unknown sense "
+                                       f"{min(named.difference(self.senses))!r}", line)
+                if not sel.cats.issubset(CATEGORIES):
+                    raise LexiconError(f"phrase {rec.id!r} selects unknown category "
+                                       f"{min(sel.cats.difference(CATEGORIES))!r}", line)
+            # the matcher tries a consolidation only where its trigger is present
+            if rec.kind == "consolidation" and not any(
+                    rec.trigger in sel.senses or rec.trigger in sel.attrs
+                    for sel in rec.selectors):
+                raise LexiconError(f"consolidation {rec.id!r} has trigger {rec.trigger!r}, "
+                                   "which no sense= or attr= condition names", line)
         for line, parts in references:
             if parts[0] == "form" and parts[3] not in self.senses:
                 raise LexiconError(f"form {parts[1].lower()!r} links unknown sense "
@@ -318,22 +362,29 @@ def _parse_attrs(token: str, line: int) -> frozenset[str]:
     body = token[1:-1].strip()
     if not body:
         return frozenset()
-    return frozenset(a.strip() for a in body.split(",") if a.strip())
+    return frozenset(filter(None, map(str.strip, body.split(","))))
 
 
-def _parse_selector(spec: str, line: int) -> tuple[tuple[str, str], ...]:
-    conditions = []
+def _parse_selector(spec: str, line: int) -> Selector:
+    values: dict[str, list[str]] = {}   # condition key -> its values, in record order
     for part in spec.split("&"):
         key, sep, value = part.partition("=")
         if not sep:
             raise LexiconError(f"bad selector condition {part!r}", line)
         if key not in SELECTOR_KEYS:
             raise LexiconError(f"unknown selector key {key!r}", line)
-        conditions.append((key, value))
-    return tuple(conditions)
+        values.setdefault(key, []).append(value)
+    words = values.pop("word", ())
+    if len(words) > 1:
+        raise LexiconError(f"selector {spec!r} names more than one word", line)
+    groups = tuple(frozenset(v.split("|")) for v in values.pop("any", ()))
+    return Selector(words[0] if words else None, any_of=groups,
+                    **{_SELECTOR_FIELDS[key]: frozenset(v) for key, v in values.items()})
 
 
-def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
+def _parse_phrase(parts: list[str], line: int, parsed: dict[str, Selector]) -> PhraseRecord:
+    """One `phrase` record; `parsed` maps each selector spec met so far in
+    this load to its `Selector`, since records repeat their selectors."""
     if len(parts) < 3:
         raise LexiconError("phrase record needs id and kind", line)
     pid, kind = parts[1], parts[2]
@@ -345,7 +396,11 @@ def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
         for tok in parts[3:]:
             name, _, value = tok.partition("=")
             if tok.startswith("sel:"):
-                selectors.append(_parse_selector(tok[4:], line))
+                spec = tok[4:]
+                sel = parsed.get(spec)
+                if sel is None:
+                    sel = parsed[spec] = _parse_selector(spec, line)
+                selectors.append(sel)
             elif name in ("trigger", "emit"):
                 fields[name] = value
             elif name in ("ops", "attrs"):
@@ -364,6 +419,9 @@ def _parse_phrase(parts: list[str], line: int) -> PhraseRecord:
     if not fields.get("trigger"):
         raise LexiconError("phrase record needs trigger=", line)
     rec = PhraseRecord(pid, kind, selectors=tuple(selectors), **fields)
+    if kind == "literal" and any(sel.word is None or sel != Selector(sel.word)
+                                 for sel in rec.selectors):
+        raise LexiconError(f"literal {pid!r} has a selector that is not one word=", line)
     if kind == "consolidation":
         # termination: every firing must strictly shrink the element set
         n = len(rec.selectors)
@@ -378,6 +436,8 @@ def _split_record(text: str, line: int) -> list[str]:
     """Tokens of one record line: whitespace-separated words, `"..."`
     tokens that may hold spaces and apostrophes, and a `#` comment to the
     end of the line.  The format has no other quoting and no escapes."""
+    if '"' not in text:
+        return text.partition("#")[0].split()
     tokens: list[str] = []
     rest = text
     while True:
@@ -408,6 +468,7 @@ def load_lexicon(source: str) -> Lexicon:
     phrase_lines: list[int] = []
     sense_lines: dict[str, int] = {}
     references: list[tuple[int, list[str]]] = []    # checked once all senses are in
+    selectors: dict[str, Selector] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         parts = _split_record(raw, lineno)
         if not parts:
@@ -450,7 +511,7 @@ def load_lexicon(source: str) -> Lexicon:
             lex.frames[parts[1]] = SelectionalFrame(parts[1], tuple(roles))
             references.append((lineno, parts))
         elif kind == "phrase":
-            lex.phrase_records.append(_parse_phrase(parts, lineno))
+            lex.phrase_records.append(_parse_phrase(parts, lineno, selectors))
             phrase_lines.append(lineno)
         else:
             raise LexiconError(f"unknown record kind {kind!r}", lineno)

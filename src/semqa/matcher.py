@@ -10,12 +10,33 @@ completeness constraint and selecting word senses by selectional fit
 (with a qualia retry for associations like car has-a engine).
 
 The matcher applies the lexicon's `PhraseRecord`s as they stand: the
-loader has already parsed and checked their selectors, retain indices
-and termination, every `vc=` template name, and a selectional frame for
-every frame-driven template, so no record format is read here and none
-of these is checked again.  Only consolidations whose trigger sense or
-attribute is present in the element set are tried, so the candidate
-pattern count stays small.
+loader has already parsed every selector into a `Selector` record and
+checked its values, the retain indices and termination, every `vc=`
+template name, and a selectional frame for every frame-driven template,
+so no record format is read here and none of these is checked again.
+
+Matching is compiled per form, in the manner of Rete's alpha memories
+(Forgy, *Artificial Intelligence* 19, 1982).  The first time a token is
+seen the matcher builds its `Form`: the candidate senses, their ids and
+universals, the merged attributes, the senses its referent senses reach
+via is-a, and the consolidations whose first selector an element of that
+form meets (its openers).  A consolidated element gets its openers when
+it is made.  A selector is then a handful of set tests on an element's
+fields, and a window is tried only where its first element opens it.
+
+Each fixpoint round fires the first consolidation, in lexicon order, at
+the lowest position where its window matches, and the next round resumes
+`longest window - 1` positions before that firing point instead of at 0.
+This fires exactly what the plain loop does (rebuild the candidates whose
+trigger is present, rescan from 0; `tests/test_fixpoint.py` keeps it):
+
+* the trigger filter changes nothing: the loader requires each
+  consolidation's trigger to be named by a `sense=` or `attr=` condition
+  of one of its selectors, so a record whose trigger is absent from the
+  element set matches nowhere;
+* a window that ends before the firing point holds only elements the
+  firing left alone, and every consolidation already failed on it in an
+  earlier round.
 
 A parse depends only on the text and the matcher: the lexicon is
 read-only, pronouns stay unresolved until the context ingests the
@@ -34,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import SemqaError
-from .lexicon import Lexicon, PhraseRecord, attr_value
+from .lexicon import Lexicon, PhraseRecord, SelectionalFrame, Selector, attr_value
 from .semantics import (
     Activity,
     OperatorSet,
@@ -84,7 +105,13 @@ class AmbiguousMatchError(MatchError):
         self.readings = readings
 
 
-ROLE_LABELS = ("destination", "recipient", "source", "agent", "position")
+ROLE_LABELS = frozenset({"destination", "recipient", "source", "agent", "position"})
+_REFERENT = frozenset({"referent"})
+# what an entity referent keeps of its element's ops and attributes
+_KEPT_OPS = frozenset({"definite", "indefinite"})
+_KEPT_ATTRIBUTES = frozenset({"singular", "plural", "male", "female", "neuter", "proper",
+                              "pronoun"})
+_COMPLETE_REFERENT = frozenset({"proper", "consolidated", "pronoun", "query"})
 
 _CONTRACTIONS = {
     "won't": ("will", "not"),
@@ -93,44 +120,64 @@ _CONTRACTIONS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class Form:
+    """What every element of one token (or of one literal's emitted
+    sense) starts from, built once per matcher: the candidate senses in
+    lexicon order, their ids and universals, the merged attributes, every
+    sense a referent sense among them reaches via is-a, and the
+    consolidations whose first selector such an element meets."""
+
+    senses: tuple[tuple[str, frozenset[str]], ...]
+    ids: frozenset[str]
+    cats: frozenset[str]
+    attributes: frozenset[str]
+    reach: frozenset[str]
+    openers: tuple[PhraseRecord, ...]
+
+
+@dataclass(slots=True)
 class Element:
-    """One matched constituent: labels, merged attributes, candidate senses."""
+    """One matched constituent: labels, merged attributes, candidate senses.
+
+    `senses`, `ids`, `cats` and `reach` are shared with the element's
+    `Form` (or, for a bundle, derived from its members) and never change;
+    labels, attributes and ops grow as phrases consolidate."""
 
     surface: str
-    senses: list[tuple[str, frozenset[str]]] = field(default_factory=list)
+    senses: tuple[tuple[str, frozenset[str]], ...] = ()
+    ids: frozenset[str] = frozenset()
+    cats: frozenset[str] = frozenset()
+    reach: frozenset[str] = frozenset()
     labels: set[str] = field(default_factory=set)
     attributes: set[str] = field(default_factory=set)
     ops: set[str] = field(default_factory=set)
     constituents: list["Element"] = field(default_factory=list)
     bundle_members: list["Element"] = field(default_factory=list)
-    ls: object | None = None     # frozen once a predication fills it
+    # consolidations whose first selector this element meets
+    openers: tuple[PhraseRecord, ...] = ()
+    # filled by predication, once the element set has stopped changing
+    referent: Referent | None = None
+
+    @classmethod
+    def of(cls, surface: str, form: Form) -> "Element":
+        return cls(surface, form.senses, form.ids, form.cats, form.reach,
+                   attributes=set(form.attributes), openers=form.openers)
+
+    def copy(self) -> "Element":
+        return Element(self.surface, self.senses, self.ids, self.cats, self.reach,
+                       set(self.labels), set(self.attributes), set(self.ops),
+                       list(self.constituents), list(self.bundle_members), self.openers)
 
     def attr(self, key: str):
         return attr_value(self.attributes, key)
 
-    def sense_ids(self) -> list[str]:
-        return [s for s, _ in self.senses]
+    def is_referent(self) -> bool:
+        return "referent" in self.cats
 
-    def categories(self, lexicon: Lexicon) -> set[str]:
-        if self.bundle_members:
-            return {"referent"}
-        return {lexicon.sense(s).category for s, _ in self.senses}
-
-    def reaches(self, lexicon: Lexicon, target: str) -> bool:
-        if self.bundle_members:
-            return all(m.reaches(lexicon, target) for m in self.bundle_members)
-        return any(lexicon.sense(s).category == "referent"
-                   and lexicon.holds_category(s, target)
-                   for s in self.sense_ids())
-
-    def is_referent(self, lexicon: Lexicon) -> bool:
-        return "referent" in self.categories(lexicon)
-
-    def is_complete_referent(self, lexicon: Lexicon) -> bool:
-        if not self.is_referent(lexicon):
-            return False
-        return bool({"proper", "consolidated", "pronoun", "query"} & self.attributes)
+    def is_complete_referent(self) -> bool:
+        return ("referent" in self.cats
+                and not _COMPLETE_REFERENT.isdisjoint(self.attributes))
 
     def is_query(self) -> bool:
         return "query" in self.attributes
@@ -142,7 +189,7 @@ class Element:
             return False
         return all(lexicon.sense(s).category == "modifier"
                    and "vacuous" in lexicon.sense(s).attributes
-                   for s in self.sense_ids())
+                   for s, _ in self.senses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,34 +202,13 @@ class Proposition:
     source: str = ""
 
 
-def _selector_matches(conditions: tuple[tuple[str, str], ...], el: Element,
-                      lexicon: Lexicon) -> bool:
-    for key, value in conditions:
-        if key == "word":
-            if el.surface != value:
-                return False
-        elif key == "sense":
-            if value not in el.sense_ids():
-                return False
-        elif key == "not-sense":
-            if value in el.sense_ids():
-                return False
-        elif key == "cat":
-            if value not in el.categories(lexicon):
-                return False
-        elif key == "reach":
-            if not el.reaches(lexicon, value):
-                return False
-        elif key == "attr":
-            if value not in el.attributes:
-                return False
-        elif key == "not-attr":
-            if value in el.attributes:
-                return False
-        elif key == "any":
-            if not any(a in el.attributes for a in value.split("|")):
-                return False
-    return True
+def _selector_matches(sel: Selector, el: Element) -> bool:
+    attrs = el.attributes
+    return ((sel.word is None or sel.word == el.surface)
+            and sel.senses <= el.ids and sel.not_senses.isdisjoint(el.ids)
+            and sel.cats <= el.cats and sel.reach <= el.reach
+            and sel.attrs <= attrs and sel.not_attrs.isdisjoint(attrs)
+            and (not sel.any_of or all(not group.isdisjoint(attrs) for group in sel.any_of)))
 
 
 def tokenize(text: str) -> tuple[list[str], str]:
@@ -207,17 +233,32 @@ def tokenize(text: str) -> tuple[list[str], str]:
 
 
 class Matcher:
-    """The lexicon's phrase records, sorted by kind and indexed by trigger."""
+    """The lexicon's phrase records compiled for matching: literals indexed
+    by trigger word, consolidations listed on each form or element whose
+    first selector they open."""
 
     def __init__(self, lexicon: Lexicon, strict_take: bool = False):
         self.lexicon = lexicon
         self.strict_take = strict_take
         records = lexicon.phrase_records
-        self.literals = [p for p in records if p.kind == "literal"]
         self.consolidations = [p for p in records if p.kind == "consolidation"]
-        # (trigger key, record) per consolidation, in lexicon order
-        self._triggered = [(("sense" if p.trigger in lexicon.senses else "attr", p.trigger), p)
-                       for p in self.consolidations]
+        # (a sense or attribute the first selector requires, or None; record):
+        # a membership test that rules most records out before the full one
+        self._anchored = [(min(p.selectors[0].senses | p.selectors[0].attrs, default=None), p)
+                          for p in self.consolidations]
+        # positions before a firing point at which a window reaching it starts
+        self._reach_back = max((len(p.selectors) for p in self.consolidations), default=1) - 1
+        # trigger word -> (word sequence, emitted sense) per literal, in lexicon order
+        self._literals: dict[str, list[tuple[list[str], str]]] = {}
+        for p in records:
+            if p.kind == "literal":
+                self._literals.setdefault(p.trigger, []).append(
+                    ([sel.word for sel in p.selectors], p.emit))
+        # token, or a literal's words joined by spaces -> its form, built on
+        # first sight (a token holds no space, so the two never collide)
+        self._forms: dict[str, Form] = {}
+        # predicate sense -> (template, frame), or None without vc=; filled on first use
+        self._templates: dict[str, tuple[str, SelectionalFrame | None] | None] = {}
         # text -> propositions, in insertion order for FIFO eviction
         self._parses: dict[str, tuple[Proposition, ...]] = {}
         # term -> the equal term cached parses share
@@ -225,79 +266,86 @@ class Matcher:
 
     # -- element construction -------------------------------------------
 
-    def _element_for_token(self, token: str, position: int) -> Element:
-        senses = self.lexicon.senses_of(token)
+    def _new_form(self, surface: str, senses, position: int) -> Form:
+        """Build and keep the form of `surface`, whose candidate senses
+        are `senses`; a token with none is an unknown word."""
         if not senses:
-            raise UnknownWordError(token, position)
-        el = Element(surface=token, senses=list(senses))
+            raise UnknownWordError(surface, position)
+        lex = self.lexicon
+        attributes: set[str] = set()
+        reach: set[str] = set()
         for sense_id, link_attrs in senses:
-            el.attributes |= set(link_attrs)
-            el.attributes |= set(self.lexicon.sense(sense_id).attributes)
-        return el
+            sense = lex.sense(sense_id)
+            attributes |= link_attrs
+            attributes |= sense.attributes
+            if sense.category == "referent":
+                reach |= lex.is_a_closure(sense_id)
+        probe = Element(surface, tuple(senses), frozenset(s for s, _ in senses),
+                        frozenset(lex.sense(s).category for s, _ in senses),
+                        frozenset(reach), attributes=attributes)
+        form = Form(probe.senses, probe.ids, probe.cats, frozenset(attributes), probe.reach,
+                    self._openers(probe))
+        return self._forms.setdefault(surface, form)
 
-    def _element_for_sense(self, sense_id: str, surface: str) -> Element:
-        el = Element(surface=surface, senses=[(sense_id, frozenset())])
-        el.attributes |= set(self.lexicon.sense(sense_id).attributes)
-        return el
+    def _openers(self, el: Element) -> tuple[PhraseRecord, ...]:
+        """Consolidations, in lexicon order, whose first selector `el` meets."""
+        ids, attrs = el.ids, el.attributes
+        return tuple(p for anchor, p in self._anchored
+                     if (anchor is None or anchor in ids or anchor in attrs)
+                     and _selector_matches(p.selectors[0], el))
 
     def _apply_literals(self, tokens: list[str]) -> list[Element]:
         """Claim literal word sequences first; they cannot be built up later."""
         out: list[Element] = []
         i = 0
+        forms = self._forms
         while i < len(tokens):
-            fired = None
-            for pat in self.literals:
-                if pat.trigger != tokens[i]:
-                    continue
-                span = [sel[0][1] for sel in pat.selectors]
-                if tokens[i:i + len(span)] == span:
-                    fired = (pat, len(span))
+            token = tokens[i]
+            for words, emit in self._literals.get(token, ()):
+                if tokens[i:i + len(words)] == words:
+                    surface = " ".join(words)
+                    form = forms.get(surface) or self._new_form(
+                        surface, [(emit, frozenset())], i)
+                    i += len(words)
                     break
-            if fired:
-                pat, width = fired
-                out.append(self._element_for_sense(pat.emit, " ".join(tokens[i:i + width])))
-                i += width
             else:
-                out.append(self._element_for_token(tokens[i], i))
+                surface = token
+                form = forms.get(token) or self._new_form(
+                    token, self.lexicon.senses_of(token), i)
                 i += 1
+            out.append(Element.of(surface, form))
         return out
 
     # -- consolidation fixpoint ------------------------------------------
 
-    def _candidate_patterns(self, elements: list[Element]) -> list[PhraseRecord]:
-        keys: set[tuple[str, str]] = set()
-        for el in elements:
-            for s in el.sense_ids():
-                keys.add(("sense", s))
-            for a in el.attributes:
-                keys.add(("attr", a))
-        return [pat for key, pat in self._triggered if key in keys]
-
-    def _try_fire(self, pat: PhraseRecord, elements: list[Element], at: int):
-        n = len(pat.selectors)
-        if at + n > len(elements):
-            return None
-        window = elements[at:at + n]
-        for sel, el in zip(pat.selectors, window):
-            if not _selector_matches(sel, el, self.lexicon):
-                return None
-        return self._consolidate(pat, window)
+    def _fire_first(self, elements: list[Element], start: int) -> int | None:
+        """Fire, at the lowest position from `start` on, the first
+        consolidation in lexicon order whose window matches there; returns
+        that position, or None when nothing matches."""
+        n = len(elements)
+        for at in range(start, n):
+            for pat in elements[at].openers:
+                sels = pat.selectors
+                end = at + len(sels)
+                if end <= n and all(map(_selector_matches, sels[1:], elements[at + 1:end])):
+                    elements[at:end] = self._consolidate(pat, elements[at:end])
+                    return at
+        return None
 
     def _consolidate(self, pat: PhraseRecord, window: list[Element]) -> list[Element]:
         if pat.retain == "bundle":
-            result = Element(surface=" and ".join(w.surface for w in window))
             members = []
             for w in window:
-                if w.is_referent(self.lexicon):
+                if w.is_referent():
                     members.extend(w.bundle_members or [w])
-            result.bundle_members = members
-            result.attributes |= {"plural", "bundle"}
+            # a bundle is a referent that reaches what every member reaches
+            result = Element(" and ".join(w.surface for w in window),
+                             cats=_REFERENT if members else frozenset(),
+                             reach=frozenset.intersection(*[m.reach for m in members])
+                             if members else frozenset(),
+                             attributes={"plural", "bundle"}, bundle_members=members)
         else:
-            kept = window[pat.retain - 1]
-            result = Element(surface=kept.surface, senses=list(kept.senses),
-                             labels=set(kept.labels), attributes=set(kept.attributes),
-                             ops=set(kept.ops), bundle_members=list(kept.bundle_members))
-            result.constituents = list(kept.constituents)
+            result = window[pat.retain - 1].copy()
         floats = []
         for idx, w in enumerate(window, start=1):
             if idx in pat.float_indices:
@@ -329,26 +377,19 @@ class Matcher:
             if locked and result.attr("tense") is None:
                 new_attrs.add(f"tense={locked}")
         result.attributes |= new_attrs
+        result.openers = self._openers(result)
         return [result] + floats
 
     def match_phrases(self, tokens: list[str]) -> list[Element]:
         """Apply literal then consolidation patterns until no pattern fires."""
         elements = self._apply_literals(tokens)
+        start = 0
         # bound: every firing strictly reduces the element count
         for _ in range(len(tokens) * (len(self.consolidations) + 1) + 1):
-            candidates = self._candidate_patterns(elements)
-            fired = False
-            for at in range(len(elements)):
-                for pat in candidates:
-                    replacement = self._try_fire(pat, elements, at)
-                    if replacement is not None:
-                        elements[at:at + len(pat.selectors)] = replacement
-                        fired = True
-                        break
-                if fired:
-                    break
-            if not fired:
+            at = self._fire_first(elements, start)
+            if at is None:
                 return elements
+            start = max(0, at - self._reach_back)
         raise MatchError("consolidation did not reach a fixpoint")
 
     # -- operator extraction ----------------------------------------------
@@ -369,7 +410,7 @@ class Matcher:
             if "consumed" in aux.attributes or "aux" not in aux.attributes:
                 continue
             pairs = []
-            ids = aux.sense_ids()
+            ids = aux.ids
             if "p:do" in ids:
                 pairs.append(("base", None))
             if "p:be" in ids:
@@ -383,16 +424,15 @@ class Matcher:
                 continue
             seen_ref = False
             for verb in elements[i + 1:]:
-                if verb.is_referent(self.lexicon) and not verb.is_query():
+                if verb.is_referent() and not verb.is_query():
                     seen_ref = True
                     continue
                 if not seen_ref:
                     continue
-                vcats = verb.categories(self.lexicon)
-                if "predicate" not in vcats:
+                if "predicate" not in verb.cats:
                     continue
                 for attr_needed, op in pairs:
-                    if attr_needed in verb.attributes and "p:do" not in verb.sense_ids():
+                    if attr_needed in verb.attributes and "p:do" not in verb.ids:
                         if verb is aux:
                             continue
                         if op:
@@ -448,6 +488,13 @@ class Matcher:
     # -- predication -------------------------------------------------------
 
     def _referent_of(self, el: Element) -> Referent:
+        """The element's referent, built on first use; predication runs
+        after the last change to the element set."""
+        if el.referent is None:
+            el.referent = self._build_referent(el)
+        return el.referent
+
+    def _build_referent(self, el: Element) -> Referent:
         if el.bundle_members:
             return bundle(*[self._referent_of(m) for m in el.bundle_members])
         if el.is_query():
@@ -457,24 +504,27 @@ class Matcher:
             counted = None
             if "counted" in el.attributes:
                 for c in el.constituents:
-                    for s in c.sense_ids():
+                    for s, _ in c.senses:
                         if self.lexicon.sense(s).category == "referent":
                             counted = s
             attrs = {"query"}
             if counted:
                 attrs.add(f"counted={counted}")
             return query(focus or "what", *attrs)
-        ref_senses = [s for s in el.sense_ids()
+        ref_senses = [s for s, _ in el.senses
                       if self.lexicon.sense(s).category == "referent"]
-        attrs = set()
-        for keep in ("definite", "indefinite"):
-            if keep in el.ops:
-                attrs.add(keep)
-        for keep in ("singular", "plural", "male", "female", "neuter",
-                     "proper", "pronoun"):
-            if keep in el.attributes:
-                attrs.add(keep)
+        attrs = _KEPT_OPS.intersection(el.ops) | _KEPT_ATTRIBUTES.intersection(el.attributes)
         return self._shared(entity(ref_senses[0], *attrs))
+
+    def _template_of(self, sense_id: str) -> tuple[str, SelectionalFrame | None] | None:
+        """(template, selectional frame) of a predicate sense, or None when
+        it has no `vc=` attribute."""
+        try:
+            return self._templates[sense_id]
+        except KeyError:
+            vc = self.lexicon.sense(sense_id).attr("vc")
+            entry = None if vc is None else (vc, self.lexicon.frame_for(sense_id))
+            return self._templates.setdefault(sense_id, entry)
 
     def _shared(self, term):
         """The matcher's one copy of each equal term, so cached parses of
@@ -504,8 +554,9 @@ class Matcher:
         return False, False
 
     def _clause_parts(self, elements: list[Element], verb: Element):
+        """The verb's role-labelled elements, and the plain complete
+        referents before and after it; the same for every sense tried."""
         idx = elements.index(verb)
-        pre, post = elements[:idx], elements[idx + 1:]
         labeled: dict[str, Element] = {}
         for el in elements:
             if el is verb:
@@ -515,9 +566,8 @@ class Matcher:
                     labeled[label] = el
         def plain_refs(seq):
             return [el for el in seq
-                    if el.is_complete_referent(self.lexicon)
-                    and not (set(el.labels) & set(ROLE_LABELS))]
-        return pre, post, labeled, plain_refs(pre), plain_refs(post)
+                    if el.is_complete_referent() and el.labels.isdisjoint(ROLE_LABELS)]
+        return labeled, plain_refs(elements[:idx]), plain_refs(elements[idx + 1:])
 
     def _leftover_ok(self, el: Element, consumed: set[int], ops: OperatorSet,
                      roles: dict) -> bool:
@@ -526,7 +576,7 @@ class Matcher:
         if el.is_vacuous(self.lexicon):
             return True
         # a stranded `to` is fine when a fronted question word filled its role
-        if "p:to" in el.sense_ids() and ops.force == "question":
+        if "p:to" in el.ids and ops.force == "question":
             for role in ("recipient", "destination"):
                 filler = roles.get(role)
                 if isinstance(filler, Referent) and filler.is_query:
@@ -534,12 +584,11 @@ class Matcher:
         return False
 
     def _cast_sense(self, sense_id: str, verb: Element, elements: list[Element],
-                    ops: OperatorSet):
+                    ops: OperatorSet, parts):
         lex = self.lexicon
         sense = lex.sense(sense_id)
-        template = sense.attr("vc")
-        frame = lex.frame_for(sense_id)
-        pre, post, labeled, pre_refs, post_refs = self._clause_parts(elements, verb)
+        template, frame = self._template_of(sense_id)
+        labeled, pre_refs, post_refs = parts
         consumed: set[int] = set()
         roles: dict[str, Referent] = {}
         used_elements: dict[str, Element] = {}
@@ -704,7 +753,7 @@ class Matcher:
             direction = sense.attr("dir") or "to"
             causative = "causative" in sense.attributes
             if self.strict_take and "there-carry" in sense.attributes and any(
-                    "m:there" in el.sense_ids() for el in elements):
+                    "m:there" in el.ids for el in elements):
                 # deictic `there` forces the carried sense of take-type verbs
                 ls = Activity(roles["actor"], "p:carry", roles.get("undergoer"))
             else:
@@ -732,11 +781,12 @@ class Matcher:
         verb = mains[0]
         readings: list[tuple[object, dict]] = []
         failures: list[str] = []
+        parts = self._clause_parts(elements, verb)
         for sense_id, _ in verb.senses:
-            if self.lexicon.sense(sense_id).attr("vc") is None:
+            if self._template_of(sense_id) is None:
                 continue
             try:
-                ls, roles, consumed, _ = self._cast_sense(sense_id, verb, elements, ops)
+                ls, roles, consumed, _ = self._cast_sense(sense_id, verb, elements, ops, parts)
             except MatchError as exc:
                 failures.append(f"{sense_id}: {exc}")
                 continue
@@ -754,14 +804,15 @@ class Matcher:
         props = []
         seen = set()
         for ls, roles in readings:
-            if ls in seen:
-                continue
-            seen.add(ls)
+            if len(readings) > 1:   # one reading needs no duplicate check
+                if ls in seen:
+                    continue
+                seen.add(ls)
             actorish = roles.get("actor") or roles.get("located")
             number = ops.number
             if actorish is not None and actorish.kind == "bundle":
                 number = "plural"
-            host_ops = ops.with_(number=number)
+            host_ops = ops if number == ops.number else ops.with_(number=number)
             ls = self._shared(ls)
             embedded = ()
             if "no-longer" in verb.attributes:
@@ -803,8 +854,8 @@ class Matcher:
         while i + 1 < len(elements):
             head = elements[i]
             marker = elements[i + 1]
-            if ("q:who" in marker.sense_ids()
-                    and head.is_complete_referent(self.lexicon)
+            if ("q:who" in marker.ids
+                    and head.is_complete_referent()
                     and not head.is_query()):
                 verb_positions = [
                     j for j in range(i + 2, len(elements))
@@ -816,7 +867,7 @@ class Matcher:
                 else:
                     i += 1
                     continue
-                clause = [self._copy_element(head)] + elements[i + 2:end]
+                clause = [head.copy()] + elements[i + 2:end]
                 sub_ops = self.extract_operators(clause, "statement")
                 prop = self.predicate_cast(clause, sub_ops, source)
                 embedded.append(prop)
@@ -824,13 +875,6 @@ class Matcher:
                 del elements[i + 1:end]
             i += 1
         return embedded
-
-    @staticmethod
-    def _copy_element(el: Element) -> Element:
-        return Element(surface=el.surface, senses=list(el.senses),
-                       labels=set(el.labels), attributes=set(el.attributes),
-                       ops=set(el.ops), constituents=list(el.constituents),
-                       bundle_members=list(el.bundle_members))
 
     # -- whole pipeline -------------------------------------------------------
 

@@ -209,6 +209,30 @@ def test_where_past_can_exclude_current(lex, matcher):
     assert [render(b) for b in content.bindings] == ["be-in'(the kitchen,0)"]
 
 
+MARY_MOVES = ["Mary went to the kitchen.", "Mary travelled to the garden.",
+              "Mary went back to the kitchen.", "Mary moved to the office."]
+
+
+@pytest.mark.parametrize("include_current, story, expected", [
+    (True, MARY_MOVES, ["kitchen", "garden", "office"]),
+    (False, MARY_MOVES, ["kitchen", "garden"]),
+    # a negative ends the current position, so nothing is left out
+    (True, MARY_MOVES + ["Mary is no longer in the office."], ["kitchen", "garden", "office"]),
+    (False, MARY_MOVES + ["Mary is no longer in the office."], ["kitchen", "garden", "office"]),
+])
+def test_where_past_reads_the_positions_once(lex, matcher, monkeypatch, include_current,
+                                              story, expected):
+    t = ingest_all(matcher, make_tracker(lex, include_current_position=include_current), story)
+    scans = []
+    positions_of = type(t).positions_of
+    monkeypatch.setattr(type(t), "positions_of",
+                        lambda self, e: scans.append(e) or positions_of(self, e))
+    content = answer(matcher, t, "Where was Mary?")
+    assert [render(b) for b in content.bindings] == [
+        f"be-in'(the {place},0)" for place in expected]
+    assert len(scans) == 1
+
+
 def test_polar_no_when_elsewhere(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), [
         "John moved to the playground.", "John went back to the hallway."])

@@ -206,6 +206,46 @@ def test_phrase_output_names_fail_at_load(good, bad, message):
         load_lexicon(text.replace(good, bad, 1))
 
 
+@pytest.mark.parametrize("good, bad, message", [
+    ("sel:sense=p:to sel:reach=r:location", "sel:sense=p:tto sel:reach=r:location",
+     "phrase 'dest-to' selects unknown sense 'p:tto'"),
+    ("not-sense=p:do", "not-sense=p:od", "phrase 'do-base' selects unknown sense 'p:od'"),
+    ("reach=r:location", "reach=r:locaton", "phrase 'dest-to' selects unknown sense 'r:locaton'"),
+    ("cat=referent", "cat=referant", "phrase 'particle-up-split' selects unknown category "
+                                     "'referant'"),
+])
+def test_selector_values_fail_at_load(good, bad, message):
+    text = semqa.core_lexicon_text()
+    lineno = _line_of(text, good)
+    with pytest.raises(LexiconError, match=f"line {lineno}: {message}"):
+        load_lexicon(text.replace(good, bad, 1))
+
+
+@pytest.mark.parametrize("good, bad", [
+    ("trigger=p:by", "trigger=p:bye"),
+    # a name inside any= does not count: the element may hold another one
+    ("trigger=m:and", "trigger=proper"),
+])
+def test_consolidation_trigger_must_be_selected_at_load(good, bad):
+    text = semqa.core_lexicon_text()
+    lineno = _line_of(text, good)
+    trigger = bad.partition("=")[2]
+    with pytest.raises(LexiconError, match=f"line {lineno}: consolidation '[a-z-]+' has trigger "
+                                           f"'{trigger}', which no sense= or attr= condition"):
+        load_lexicon(text.replace(good, bad, 1))
+
+
+@pytest.mark.parametrize("record, message", [
+    ("phrase p literal trigger=a sel:word=a sel:word=b&attr=x emit=r:x",
+     "literal 'p' has a selector that is not one word="),
+    ("phrase p consolidation trigger=x sel:attr=x&word=a&word=b sel:attr=y retain=1",
+     "selector 'attr=x&word=a&word=b' names more than one word"),
+])
+def test_selector_word_is_single(record, message):
+    with pytest.raises(LexiconError, match=f"line 2: {message}"):
+        load_lexicon(f"sense r:x referent {{}} \"x\"\n{record}\n")
+
+
 def test_predication_record_kind_is_gone():
     doc = ("# phrases\n"
            "phrase pred-motion predication trigger=vc=motion sel:attr=vc=motion\n")
