@@ -116,11 +116,10 @@ def parse_babi_file(document: str) -> list[list[BabiRecord]]:
 
 
 def story_vocabulary(stories: list[list[BabiRecord]]) -> set[str]:
+    """Every token of the stories; a text that repeats is tokenized once."""
     words: set[str] = set()
-    for story in stories:
-        for rec in story:
-            tokens, _ = tokenize(rec.text)
-            words.update(tokens)
+    for text in {rec.text for story in stories for rec in story}:
+        words.update(tokenize(text)[0])
     return words
 
 

@@ -3,7 +3,9 @@
 Statements only ever add items; nothing is updated or deleted, so negation
 coexists with the history it negates.  An item keeps the parsed logical
 structure itself, shared with the matcher's parse cache; only the branches
-above a resolved pronoun are rebuilt.  Questions intersect the stored items
+above a resolved pronoun are rebuilt.  A statement whose proposition says
+it holds no pronoun (`Proposition.pronoun`, set by the matcher) is stored
+without a walk; one built by hand is walked.  Questions intersect the stored items
 against their own logical structure: present-tense position questions
 return the latest still-valid element, past tense returns the list.
 Possession questions replay the have' ledger; transfer questions collect
@@ -176,7 +178,7 @@ class ContextTracker:
             raise ContextError("questions are answered, not ingested")
         for emb in prop.embedded:
             self.ingest(replace(emb, embedded=()))
-        ls = self._resolve_ls(prop.ls)
+        ls = self._resolve_ls(prop.ls) if prop.pronoun else prop.ls
         self.items.append(ContextItem(len(self.items) + 1, ls,
                                       prop.operators, prop.source))
 

@@ -429,6 +429,9 @@ def _parse_phrase(parts: list[str], line: int, parsed: dict[str, Selector]) -> P
             raise LexiconError(f"pattern {pid!r} would not reduce the element count", line)
         if rec.retain != "bundle" and rec.retain not in range(1, n + 1):
             raise LexiconError(f"pattern {pid!r} retains no element of its window", line)
+        # the matcher reads a verb off its form; a consolidation cannot make one
+        if any(a.startswith("vc=") for a in rec.attrs):
+            raise LexiconError(f"consolidation {pid!r} adds a vc= template in attrs=", line)
     return rec
 
 

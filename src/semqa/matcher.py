@@ -19,10 +19,19 @@ Matching is compiled per form, in the manner of Rete's alpha memories
 (Forgy, *Artificial Intelligence* 19, 1982).  The first time a token is
 seen the matcher builds its `Form`: the candidate senses, their ids and
 universals, the merged attributes, the senses its referent senses reach
-via is-a, and the consolidations whose first selector an element of that
-form meets (its openers).  A consolidated element gets its openers when
-it is made.  A selector is then a handful of set tests on an element's
-fields, and a window is tried only where its first element opens it.
+via is-a, the consolidations whose first selector an element of that
+form meets (its openers), and whether it is a verb (an attribute names a
+`vc=` template).  A selector is then a handful of set tests on an
+element's fields, and a window is tried only where its first element
+opens it.  A consolidated element keeps its retained element's verb flag
+(a bundle is no verb; the loader rejects a consolidation whose `attrs=`
+names a template), so the main verb, a leftover auxiliary and the verbs
+after a relative marker are read off the flag, and each parse finds its
+main verb once for operator extraction and predication alike.  A
+consolidated element gets its openers when it is made, from a table keyed
+by the fields a first selector reads (surface, sense ids, universals,
+reach, attributes); an entity referent comes from a table keyed by the
+element's senses and the ops and attributes a referent keeps.
 
 Each fixpoint round fires the first consolidation, in lexicon order, at
 the lowest position where its window matches, and the next round resumes
@@ -44,8 +53,11 @@ sentence, and every result is frozen.  So each matcher caches its
 successful parses by text (at most `PARSE_CACHE_SIZE`, oldest evicted
 first).  It also keeps one copy of each equal entity referent, logical
 structure and operator set it builds, so cached parses of different
-texts share them; that table starts over when it reaches the same size.
-Failures are not cached; they are raised again on every call.
+texts share them; that table, the referent table with it, and the
+openers table each start over when they reach the same size.  Each
+proposition records whether its structure holds a pronoun, so the
+context walks only those.  Failures are not cached; they are raised
+again on every call.
 Concurrent callers may share a matcher: the tables only ever map a key
 to an equal value, and eviction tolerates a racing caller.
 """
@@ -69,6 +81,7 @@ from .semantics import (
     bundle,
     entity,
     query,
+    walk_referents,
 )
 
 
@@ -126,7 +139,8 @@ class Form:
     sense) starts from, built once per matcher: the candidate senses in
     lexicon order, their ids and universals, the merged attributes, every
     sense a referent sense among them reaches via is-a, and the
-    consolidations whose first selector such an element meets."""
+    consolidations whose first selector such an element meets, and
+    whether it is a verb: some attribute names a `vc=` template."""
 
     senses: tuple[tuple[str, frozenset[str]], ...]
     ids: frozenset[str]
@@ -134,15 +148,18 @@ class Form:
     attributes: frozenset[str]
     reach: frozenset[str]
     openers: tuple[PhraseRecord, ...]
+    verb: bool
 
 
 @dataclass(slots=True)
 class Element:
     """One matched constituent: labels, merged attributes, candidate senses.
 
-    `senses`, `ids`, `cats` and `reach` are shared with the element's
-    `Form` (or, for a bundle, derived from its members) and never change;
-    labels, attributes and ops grow as phrases consolidate."""
+    `senses`, `ids`, `cats`, `reach` and `verb` are shared with the
+    element's `Form` (or, for a bundle, derived from its members) and
+    never change; labels, attributes and ops grow as phrases consolidate.
+    No attribute added later names a `vc=` template (the loader rejects
+    a consolidation whose `attrs=` would), so `verb` stays exact."""
 
     surface: str
     senses: tuple[tuple[str, frozenset[str]], ...] = ()
@@ -156,18 +173,21 @@ class Element:
     bundle_members: list["Element"] = field(default_factory=list)
     # consolidations whose first selector this element meets
     openers: tuple[PhraseRecord, ...] = ()
+    # some attribute names a vc= template: a main-verb candidate
+    verb: bool = False
     # filled by predication, once the element set has stopped changing
     referent: Referent | None = None
 
     @classmethod
     def of(cls, surface: str, form: Form) -> "Element":
         return cls(surface, form.senses, form.ids, form.cats, form.reach,
-                   attributes=set(form.attributes), openers=form.openers)
+                   attributes=set(form.attributes), openers=form.openers, verb=form.verb)
 
     def copy(self) -> "Element":
         return Element(self.surface, self.senses, self.ids, self.cats, self.reach,
                        set(self.labels), set(self.attributes), set(self.ops),
-                       list(self.constituents), list(self.bundle_members), self.openers)
+                       list(self.constituents), list(self.bundle_members), self.openers,
+                       self.verb)
 
     def attr(self, key: str):
         return attr_value(self.attributes, key)
@@ -194,12 +214,17 @@ class Element:
 
 @dataclass(frozen=True, slots=True)
 class Proposition:
-    """One ingestible unit: logical structure + operators + hoisted clauses."""
+    """One ingestible unit: logical structure + operators + hoisted clauses.
+
+    `pronoun` says whether `ls` holds a pronoun referent for the context
+    to resolve.  The matcher sets it; a proposition built by hand keeps
+    the default, which only costs the context a walk."""
 
     ls: object
     operators: OperatorSet
     embedded: tuple["Proposition", ...] = ()
     source: str = ""
+    pronoun: bool = field(default=True, compare=False)
 
 
 def _selector_matches(sel: Selector, el: Element) -> bool:
@@ -209,6 +234,25 @@ def _selector_matches(sel: Selector, el: Element) -> bool:
             and sel.cats <= el.cats and sel.reach <= el.reach
             and sel.attrs <= attrs and sel.not_attrs.isdisjoint(attrs)
             and (not sel.any_of or all(not group.isdisjoint(attrs) for group in sel.any_of)))
+
+
+def _remember(table: dict, key, value):
+    """`table[key]`, set to `value` when absent; a table that reaches
+    `PARSE_CACHE_SIZE` entries starts over, so it stays bounded."""
+    if len(table) >= PARSE_CACHE_SIZE:
+        table.clear()
+    return table.setdefault(key, value)
+
+
+def _is_pronoun(ref: Referent) -> bool:
+    return ref.kind == "entity" and "pronoun" in ref.attributes
+
+
+def _holds_pronoun(ls, refs) -> bool:
+    """Whether `ls`, built from the referents `refs` and `UNSPECIFIED`,
+    holds a pronoun for the context to resolve; most hold none of `refs`
+    and need no walk."""
+    return any(map(_is_pronoun, refs)) and any(map(_is_pronoun, walk_referents(ls)))
 
 
 def tokenize(text: str) -> tuple[list[str], str]:
@@ -263,6 +307,10 @@ class Matcher:
         self._parses: dict[str, tuple[Proposition, ...]] = {}
         # term -> the equal term cached parses share
         self._terms: dict = {}
+        # (surface, ids, cats, reach, attributes) of a consolidated element -> its openers
+        self._opened: dict[tuple, tuple[PhraseRecord, ...]] = {}
+        # (senses, kept ops and attributes) of an entity element -> its shared referent
+        self._referents: dict[tuple, Referent] = {}
 
     # -- element construction -------------------------------------------
 
@@ -284,7 +332,7 @@ class Matcher:
                         frozenset(lex.sense(s).category for s, _ in senses),
                         frozenset(reach), attributes=attributes)
         form = Form(probe.senses, probe.ids, probe.cats, frozenset(attributes), probe.reach,
-                    self._openers(probe))
+                    self._openers(probe), any(a.startswith("vc=") for a in attributes))
         return self._forms.setdefault(surface, form)
 
     def _openers(self, el: Element) -> tuple[PhraseRecord, ...]:
@@ -339,7 +387,7 @@ class Matcher:
                 if w.is_referent():
                     members.extend(w.bundle_members or [w])
             # a bundle is a referent that reaches what every member reaches
-            result = Element(" and ".join(w.surface for w in window),
+            result = Element(" ".join(w.surface for w in window),
                              cats=_REFERENT if members else frozenset(),
                              reach=frozenset.intersection(*[m.reach for m in members])
                              if members else frozenset(),
@@ -377,8 +425,17 @@ class Matcher:
             if locked and result.attr("tense") is None:
                 new_attrs.add(f"tense={locked}")
         result.attributes |= new_attrs
-        result.openers = self._openers(result)
+        result.openers = self._openers_of(result)
         return [result] + floats
+
+    def _openers_of(self, el: Element) -> tuple[PhraseRecord, ...]:
+        """`_openers` of a consolidated element, remembered by the fields
+        a first selector reads."""
+        key = (el.surface, el.ids, el.cats, el.reach, frozenset(el.attributes))
+        openers = self._opened.get(key)
+        if openers is None:
+            openers = _remember(self._opened, key, self._openers(el))
+        return openers
 
     def match_phrases(self, tokens: list[str]) -> list[Element]:
         """Apply literal then consolidation patterns until no pattern fires."""
@@ -394,14 +451,13 @@ class Matcher:
 
     # -- operator extraction ----------------------------------------------
 
-    def _main_candidates(self, elements: list[Element]) -> list[Element]:
-        out = []
-        for el in elements:
-            if "consumed" in el.attributes:
-                continue
-            if any(a.startswith("vc=") for a in el.attributes):
-                out.append(el)
-        return out
+    def _main_candidates(self, elements: list[Element],
+                         if_hint: str = "statement") -> list[Element]:
+        """The unconsumed verbs, once a question's fronted auxiliary has
+        rejoined its verb."""
+        if if_hint == "question":
+            self._reunite_fronted_aux(elements)
+        return [el for el in elements if el.verb and "consumed" not in el.attributes]
 
     def _reunite_fronted_aux(self, elements: list[Element]):
         """Subject-auxiliary inversion and do-support questions split the
@@ -446,12 +502,12 @@ class Matcher:
                         return
                 break
 
-    def extract_operators(self, elements: list[Element],
-                          if_hint: str = "statement") -> OperatorSet:
-        """Resolve tense/aspect/voice/polarity/force from the verb group."""
-        if if_hint == "question":
-            self._reunite_fronted_aux(elements)
-        mains = self._main_candidates(elements)
+    def extract_operators(self, elements: list[Element], if_hint: str = "statement",
+                          mains: list[Element] | None = None) -> OperatorSet:
+        """Resolve tense/aspect/voice/polarity/force from the verb group;
+        `mains` is `_main_candidates(elements, if_hint)` if already found."""
+        if mains is None:
+            mains = self._main_candidates(elements, if_hint)
         if not mains:
             return OperatorSet(force=if_hint)
         verb = mains[0]
@@ -460,7 +516,7 @@ class Matcher:
             if el is not verb
             and "consumed" not in el.attributes
             and "aux" in el.attributes
-            and not any(a.startswith("vc=") for a in el.attributes)]
+            and not el.verb]
         if leftover_aux:
             raise OperatorChainError(
                 f"auxiliary {leftover_aux[0].surface!r} could not join a verb group")
@@ -511,10 +567,14 @@ class Matcher:
             if counted:
                 attrs.add(f"counted={counted}")
             return query(focus or "what", *attrs)
-        ref_senses = [s for s, _ in el.senses
-                      if self.lexicon.sense(s).category == "referent"]
-        attrs = _KEPT_OPS.intersection(el.ops) | _KEPT_ATTRIBUTES.intersection(el.attributes)
-        return self._shared(entity(ref_senses[0], *attrs))
+        kept = _KEPT_OPS.intersection(el.ops) | _KEPT_ATTRIBUTES.intersection(el.attributes)
+        key = (el.senses, kept)
+        ref = self._referents.get(key)
+        if ref is None:
+            sense = next(s for s, _ in el.senses
+                         if self.lexicon.sense(s).category == "referent")
+            ref = _remember(self._referents, key, self._shared(entity(sense, *kept)))
+        return ref
 
     def _template_of(self, sense_id: str) -> tuple[str, SelectionalFrame | None] | None:
         """(template, selectional frame) of a predicate sense, or None when
@@ -531,6 +591,7 @@ class Matcher:
         different texts share their referents, structures and operators."""
         if len(self._terms) >= PARSE_CACHE_SIZE:
             self._terms.clear()     # stays bounded; sharing starts over
+            self._referents.clear()     # it holds terms of the old table
         return self._terms.setdefault(term, term)
 
     def _fits(self, ref: Referent, category: str) -> tuple[bool, bool]:
@@ -769,9 +830,8 @@ class Matcher:
             ls = Activity(roles["actor"], sense_id, roles.get("undergoer"))
         return ls, roles, consumed, qualia_used
 
-    def _cast_readings(self, elements: list[Element], ops: OperatorSet,
-                       source: str) -> list[Proposition]:
-        mains = self._main_candidates(elements)
+    def _cast_readings(self, elements: list[Element], ops: OperatorSet, source: str,
+                       mains: list[Element]) -> list[Proposition]:
         if not mains:
             return [self._bare_position(elements, ops, source)]
         if len(mains) > 1:
@@ -814,15 +874,16 @@ class Matcher:
                 number = "plural"
             host_ops = ops if number == ops.number else ops.with_(number=number)
             ls = self._shared(ls)
+            pronoun = _holds_pronoun(ls, roles.values())
             embedded = ()
             if "no-longer" in verb.attributes:
                 # cessation reads as: it was so, and now it is not
                 twin = Proposition(ls, self._shared(host_ops.with_(tense="past",
                                                                    polarity="positive")),
-                                   source=source)
+                                   source=source, pronoun=pronoun)
                 host_ops = host_ops.with_(tense="present", polarity="negative")
                 embedded = (twin,)
-            props.append(Proposition(ls, self._shared(host_ops), embedded, source))
+            props.append(Proposition(ls, self._shared(host_ops), embedded, source, pronoun))
         return props
 
     def _bare_position(self, elements: list[Element], ops: OperatorSet,
@@ -831,17 +892,17 @@ class Matcher:
         rest = [el for el in elements
                 if el not in pos and not el.is_vacuous(self.lexicon)]
         if len(pos) == 1 and not rest:
-            el = pos[0]
-            ls = build_state(self.lexicon, el.attr("pos") or "p:be-LOC",
-                             self._referent_of(el), UNSPECIFIED)
-            return Proposition(ls, ops, (), source)
+            ref = self._referent_of(pos[0])
+            ls = build_state(self.lexicon, pos[0].attr("pos") or "p:be-LOC", ref, UNSPECIFIED)
+            return Proposition(ls, ops, (), source, _holds_pronoun(ls, (ref,)))
         raise MeaninglessError("no predicate matched")
 
     def predicate_cast(self, elements: list[Element],
                        operators: OperatorSet, source: str = "") -> Proposition:
         """Convert a consolidated element set into one disambiguated
         proposition; raises when zero or several readings survive."""
-        readings = self._cast_readings(elements, operators, source)
+        readings = self._cast_readings(elements, operators, source,
+                                       self._main_candidates(elements))
         if len(readings) > 1:
             raise AmbiguousMatchError(readings)
         return readings[0]
@@ -859,7 +920,7 @@ class Matcher:
                     and not head.is_query()):
                 verb_positions = [
                     j for j in range(i + 2, len(elements))
-                    if any(a.startswith("vc=") for a in elements[j].attributes)]
+                    if elements[j].verb]
                 if len(verb_positions) >= 2:
                     end = verb_positions[1]
                 elif verb_positions:
@@ -900,8 +961,9 @@ class Matcher:
             return []
         elements = self.match_phrases(tokens)
         relatives = self._extract_relatives(elements, text)
-        ops = self.extract_operators(elements, hint)
-        props = self._cast_readings(elements, ops, text)
+        mains = self._main_candidates(elements, hint)
+        ops = self.extract_operators(elements, hint, mains)
+        props = self._cast_readings(elements, ops, text, mains)
         if relatives:
             props = [replace(p, embedded=tuple(relatives) + p.embedded)
                      for p in props]

@@ -18,7 +18,9 @@ from semqa.babi import (
     parse_babi_file,
     run_task,
     score,
+    story_vocabulary,
 )
+from semqa.matcher import Matcher, tokenize
 
 SAMPLE = """1 Bill grabbed the apple there.
 2 Bill handed the apple to Jeff.
@@ -110,6 +112,28 @@ def test_story_isolation_under_shuffle(lex):
     for new_sid, old_idx in enumerate(order, start=1):
         for r in (x for x in got if x.story_id == new_sid):
             assert base[(old_idx + 1, r.line_id)] == (r.produced, r.status)
+
+
+def test_run_task_keeps_no_parse_state_between_calls(lex, monkeypatch):
+    # each run parses afresh, as `semqa run` does: a benchmark pass cannot
+    # be warmed by the one before it
+    calls = []
+    real = Matcher._parse
+    monkeypatch.setattr(Matcher, "_parse", lambda self, text: calls.append(text) or real(self, text))
+    stories = fixture_stories(1) + fixture_stories(5)
+    first = run_task(stories, lex, TaskConfig())
+    parsed = len(calls)
+    assert run_task(stories, lex, TaskConfig()) == first
+    assert parsed > 0 and len(calls) == 2 * parsed
+
+
+def test_story_vocabulary_tokenizes_each_text_once(lex, monkeypatch):
+    texts = []
+    monkeypatch.setattr("semqa.babi.tokenize", lambda text: texts.append(text) or tokenize(text))
+    stories = fixture_stories(1) * 3
+    words = story_vocabulary(stories)
+    assert sorted(texts) == sorted({rec.text for story in stories for rec in story})
+    assert {"mary", "where", "is"} <= words
 
 
 def test_vocabulary_gap_aborts_with_word_list(lex):

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import gc
+from dataclasses import replace
 
 import pytest
 
 from conftest import ingest_all, make_tracker
 from semqa.context import (
     ContextError,
+    ContextTracker,
     PronounResolutionError,
     UnsupportedQuestionError,
     have_events,
     latest_match,
 )
+from semqa.matcher import Proposition
 from semqa.nlg import RealizationRequest, realize_answer
 from semqa.semantics import bundle, entity, render, walk_referents
 
@@ -80,6 +83,30 @@ def test_they_resolves_to_latest_bundle(lex, matcher):
     ref = t.resolve_pronoun(frozenset({"plural"}))
     assert ref.kind == "bundle"
     assert {m.sense for m in ref.members} == {"r:daniel", "r:sandra"}
+
+
+def test_only_pronoun_statements_are_walked(lex, matcher, monkeypatch):
+    story = ["Daniel went to the kitchen.", "He picked up the milk.",
+             "Daniel and Sandra went to the office.", "They went to the garden.",
+             "Mary who went to the hallway went to the garden."]
+    # the reference resolves every statement, as if each held a pronoun
+    reference = make_tracker(lex)
+    for text in story:
+        prop = matcher.parse_single(text)
+        reference.ingest(replace(prop, pronoun=True, embedded=tuple(
+            replace(emb, pronoun=True) for emb in prop.embedded)))
+    walked = []
+    real = ContextTracker._resolve_ls
+    monkeypatch.setattr(ContextTracker, "_resolve_ls",
+                        lambda self, ls: walked.append(ls) or real(self, ls))
+    t = ingest_all(matcher, make_tracker(lex), story)
+    assert t.trace() == reference.trace()
+    assert len(walked) == 2
+    # a proposition built by hand is resolved
+    pronoun = matcher.parse_single("She went to the kitchen.")
+    t.ingest(Proposition(pronoun.ls, pronoun.operators))
+    assert len(walked) == 3
+    assert {r.sense for r in walk_referents(t.items[-1].ls)} == {"r:mary", "r:kitchen"}
 
 
 def test_pronoun_with_empty_context_fails(lex):

@@ -17,9 +17,9 @@ import pytest
 
 import semqa
 from semqa.babi import parse_babi_file
-from semqa.matcher import Matcher, tokenize
+from semqa.matcher import MatchError, Matcher, tokenize
 from semqa.nlg import realize_verb_group
-from semqa.semantics import OperatorSet
+from semqa.semantics import OperatorSet, walk_referents
 
 from test_golden import fixture_documents
 from test_properties import GRID
@@ -168,3 +168,48 @@ def test_fixpoint_fires_as_the_rescan_from_the_start(lex, sentences):
         # a firing left of the one before it: found only by scanning back
         resumed += any(b[1] < a[1] for a, b in zip(fired, fired[1:]))
     assert len(sentences) > 400 and resumed > 100
+
+
+def _all_elements(elements):
+    for el in elements:
+        yield el
+        yield from _all_elements(el.constituents)
+        yield from _all_elements(el.bundle_members)
+
+
+def test_compiled_facts_equal_a_fresh_scan(lex, sentences):
+    """An element's openers, read off its form or remembered per matcher,
+    and its verb flag equal a scan of the element as it stands."""
+    matcher = Matcher(lex)
+    consolidated = verbs = 0
+    for text in sentences:
+        tokens, hint = tokenize(text)
+        elements = matcher.match_phrases(tokens)
+        for el in _all_elements(elements):
+            assert el.openers == matcher._openers(el), (text, el.surface)
+            consolidated += bool(el.constituents or el.bundle_members)
+        matcher._main_candidates(elements, hint)    # a question's auxiliary rejoins its verb
+        for el in _all_elements(elements):
+            assert el.verb == any(a.startswith("vc=") for a in el.attributes), (text, el.surface)
+            verbs += el.verb
+    # repeated consolidations were answered from the table
+    assert consolidated > 2 * len(matcher._opened) and verbs > len(sentences)
+
+
+def test_pronoun_flag_equals_a_walk(lex, sentences):
+    matcher = Matcher(lex)
+    seen = {False: 0, True: 0}
+    embedded = 0
+    for text in sentences:
+        try:
+            props = matcher.parse_utterance(text)
+        except MatchError:
+            continue
+        while props:
+            prop = props.pop()
+            props.extend(prop.embedded)
+            embedded += len(prop.embedded)
+            holds = any(r.kind == "entity" and r.has("pronoun") for r in walk_referents(prop.ls))
+            assert prop.pronoun == holds, text
+            seen[holds] += 1
+    assert seen[True] > 20 and seen[False] > 200 and embedded > 4

@@ -235,6 +235,18 @@ def test_consolidation_trigger_must_be_selected_at_load(good, bad):
         load_lexicon(text.replace(good, bad, 1))
 
 
+@pytest.mark.parametrize("attrs", ["attrs=counted,vc=motion", "attrs=vc=activity"])
+def test_consolidation_cannot_add_a_template(attrs):
+    # the matcher reads whether an element is a verb off its form
+    text = semqa.core_lexicon_text()
+    lineno = _line_of(text, "phrase count-ref ")
+    bad = text.replace("retain=1 attrs=counted", f"retain=1 {attrs}", 1)
+    assert bad != text
+    with pytest.raises(LexiconError, match=f"line {lineno}: consolidation 'count-ref' "
+                                           "adds a vc= template in attrs="):
+        load_lexicon(bad)
+
+
 @pytest.mark.parametrize("record, message", [
     ("phrase p literal trigger=a sel:word=a sel:word=b&attr=x emit=r:x",
      "literal 'p' has a selector that is not one word="),

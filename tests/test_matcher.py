@@ -14,10 +14,11 @@ from semqa.matcher import (
     Matcher,
     MeaninglessError,
     OperatorChainError,
+    Proposition,
     UnknownWordError,
     tokenize,
 )
-from semqa.semantics import render
+from semqa.semantics import entity, render
 
 
 def parse(matcher, text):
@@ -172,6 +173,14 @@ def test_conjunction_kept_as_bundle(matcher):
     assert prop.operators.number == "plural"
 
 
+def test_bundle_surface_names_the_conjunction_once(matcher):
+    tokens, _ = tokenize("The man and the woman went to the kitchen.")
+    assert [el.surface for el in matcher.match_phrases(tokens)][:2] == [
+        "man and woman", "went"]
+    with pytest.raises(MeaninglessError, match="referent 'john and sandra' not consumed"):
+        parse(matcher, "Mary went to the kitchen John and Sandra.")
+
+
 def test_polar_question_treated_as_statement(matcher):
     prop = parse(matcher, "Is Beth in the kitchen?")
     assert render(prop.ls) == "be-in'(the kitchen,beth)"
@@ -300,6 +309,44 @@ def test_mutating_a_returned_list_leaves_the_cache_alone(lex):
     assert m.parse_utterance("Bill gave the milk to Mary.") == expected
 
 
+def test_remembered_openers_follow_the_attributes(lex):
+    # both consolidate to "picked"; only the first still wants its particle
+    m = Matcher(lex)
+    made = []
+    consolidate = m._consolidate
+
+    def noting(pat, window):
+        out = consolidate(pat, window)
+        made.append(out[0])
+        return out
+    m._consolidate = noting
+    for text in ("Mary has picked up the milk.", "Mary has picked the milk up."):
+        made.clear()
+        assert render(parse(m, text).ls) == "BECOME have'(mary,the milk)"
+        picked = [el for el in made if el.surface == "picked"]
+        assert [[p.id for p in el.openers] for el in picked] == [
+            ["particle-up", "particle-up-split"], []]
+        assert all(el.openers == m._openers(el) for el in picked)
+
+
+def test_remembered_referents_keep_the_determiner(lex):
+    m = Matcher(lex)
+    assert ls_of(m, "Mary went to the kitchen.").endswith("be-in'(the kitchen,mary)")
+    assert ls_of(m, "Mary went to a kitchen.").endswith("be-in'(kitchen,mary)")
+    assert ls_of(m, "John got a football.") == "BECOME have'(john,football)"
+    assert ls_of(m, "John got the football.") == "BECOME have'(john,the football)"
+
+
+def test_pronoun_flag(matcher):
+    assert parse(matcher, "She went to the kitchen.").pronoun
+    assert not parse(matcher, "Mary went to the kitchen.").pronoun
+    # built by hand, a proposition is taken to hold a pronoun; the flag is
+    # derived from the structure, so equality ignores it
+    by_hand = Proposition(entity("r:mary"), parse(matcher, "Mary went to the kitchen.").operators)
+    assert by_hand.pronoun and by_hand == Proposition(by_hand.ls, by_hand.operators,
+                                                      pronoun=False)
+
+
 def test_unknown_word_raises_on_every_call(lex):
     m = Matcher(lex)
     for _ in range(2):
@@ -312,10 +359,16 @@ def test_parse_cache_is_bounded(lex, monkeypatch):
     m = Matcher(lex)
     texts = [f"Mary went to the {place}." for place in
              ("kitchen", "garden", "office", "hallway", "bedroom")]
+    tables = ("_terms", "_opened", "_referents")
+    used = set()
     for text in texts + texts[:2]:
         m.parse_utterance(text)
         assert len(m._parses) <= 3
-        assert len(m._terms) <= 3
+        for name in tables:
+            assert len(getattr(m, name)) <= 3
+            if getattr(m, name):
+                used.add(name)
+    assert used == set(tables)
     # oldest evicted first
     assert list(m._parses) == [texts[4], texts[0], texts[1]]
 
