@@ -3,14 +3,15 @@
 Statements only ever add items; nothing is updated or deleted, so negation
 coexists with the history it negates.  An item keeps the parsed logical
 structure itself, shared with the matcher's parse cache; only the branches
-above a resolved pronoun are rebuilt.  A statement whose proposition says
-it holds no pronoun (`Proposition.pronoun`, set by the matcher) is stored
-without a walk; one built by hand is walked.  Questions intersect the stored items
-against their own logical structure: present-tense position questions
-return the latest still-valid element, past tense returns the list.
-Possession questions replay the have' ledger; transfer questions collect
-every matching item in context order (`latest_match` keeps only the last,
-as the bAbI datasets expect).
+above a resolved pronoun are rebuilt.  A statement or question whose
+proposition says it holds no pronoun (`Proposition.pronoun`, set by the
+matcher) is used without a walk; one built by hand is walked.  Questions
+intersect the stored items against their own logical structure:
+present-tense position questions return the latest still-valid element,
+past tense returns the list.  Possession questions replay the have'
+ledger, one row per object: the item of its latest gain, or None once
+lost.  Transfer questions collect every matching item in context order
+(`latest_match` keeps only the last, as the bAbI datasets expect).
 
 A question reads the items in one pass, or two for a polar "no" and a
 past-tense "where", never once per entity: the contrast of a polar "no"
@@ -259,13 +260,14 @@ class ContextTracker:
             deduped = [e for e in deduped if not _same_location(e.state, cur.state)]
         return deduped
 
-    def holdings_of(self, holder: Referent):
-        """Replay the have' ledger; returns [(object, held-now, events)].
+    def held_now(self, holder: Referent) -> list[tuple[Referent, int]]:
+        """Replay the have' ledger: the objects held now, each with the
+        item of its latest gain, most recent gain first.
 
         Dropping something never picked up is a story inconsistency: it is
         recorded once as a diagnostic, not a crash.
         """
-        ledger: list[list] = []   # [obj referent, held flag, events]
+        ledger: list[list] = []   # [obj referent, item of the latest gain or None]
         for item in self.items:
             for ev in have_events(item.ls, item.index):
                 if ev.party.kind == "unspecified":
@@ -273,35 +275,19 @@ class ContextTracker:
                 if not referent_matches(holder, ev.party) \
                         and not referent_matches(ev.party, holder):
                     continue
-                row = None
-                for r in ledger:
-                    if referent_matches(r[0], ev.obj) and referent_matches(ev.obj, r[0]):
-                        row = r
-                        break
+                row = next((r for r in ledger if referent_matches(r[0], ev.obj)
+                            and referent_matches(ev.obj, r[0])), None)
                 if row is None:
-                    row = [ev.obj, False, []]
+                    row = [ev.obj, None]
                     ledger.append(row)
-                if ev.positive:
-                    row[1] = True
-                else:
-                    if not row[1]:
-                        note = (f"item #{item.index}: {holder.head()} loses "
-                                f"{ev.obj.head()} without holding it (story inconsistency)")
-                        if note not in self.diagnostics:   # asked again: noted once
-                            self.diagnostics.append(note)
-                    row[1] = False
-                row[2].append((item.index, "+" if ev.positive else "-"))
-        return [(obj, held, events) for obj, held, events in ledger]
-
-    def held_now(self, holder: Referent) -> list[tuple[Referent, int]]:
-        """Currently held objects, most recent acquisition first."""
-        rows = []
-        for obj, held, events in self.holdings_of(holder):
-            if held:
-                last_gain = max(i for i, sign in events if sign == "+")
-                rows.append((obj, last_gain))
-        rows.sort(key=lambda r: -r[1])
-        return rows
+                if not ev.positive and row[1] is None:
+                    note = (f"item #{item.index}: {holder.head()} loses "
+                            f"{ev.obj.head()} without holding it (story inconsistency)")
+                    if note not in self.diagnostics:   # asked again: noted once
+                        self.diagnostics.append(note)
+                row[1] = item.index if ev.positive else None
+        return sorted(((obj, gain) for obj, gain in ledger if gain is not None),
+                      key=lambda r: -r[1])
 
     # -- question answering -------------------------------------------------
 
@@ -310,7 +296,7 @@ class ContextTracker:
         type (polar/content) determines the answer shape."""
         if prop.operators.force != "question":
             raise UnsupportedQuestionError("not a question")
-        ls = self._resolve_ls(prop.ls)
+        ls = self._resolve_ls(prop.ls) if prop.pronoun else prop.ls
         ops = prop.operators
         queries = [r for r in walk_referents(ls) if r.is_query]
         focus = queries[0].focus if queries else None

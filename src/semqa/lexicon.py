@@ -13,8 +13,9 @@ that knows it.
 indices, literal `emit=` senses and `vc=` template names included, checks
 that a sense with a frame-driven template reaches a selectional frame
 along its entails chain, and computes the derived tables (relation index,
-is-a closure, entails bases) once.  Each `sel:` part becomes a `Selector`
-record with one field per condition key.  Its `sense=`, `not-sense=` and
+each `vc=` sense's template and frame, is-a closure, entails bases) once.
+Each `sel:` part becomes a `Selector` record with one field per
+condition key.  Its `sense=`, `not-sense=` and
 `reach=` values must name senses and its `cat=` values universals.  A
 consolidation's trigger must be named by a `sense=` or `attr=` condition
 of one of its selectors (a name inside `any=` does not count), so that
@@ -151,6 +152,8 @@ class Lexicon:
         self.forms: dict[str, list[tuple[str, frozenset[str]]]] = {}
         self.frames: dict[str, SelectionalFrame] = {}
         self.phrase_records: list[PhraseRecord] = []
+        # predicate sense with vc= -> (template, frame along its entails chain)
+        self.templates: dict[str, tuple[str, SelectionalFrame | None]] = {}
         # (source, relation kind) -> targets, in record order
         self._rel_index: dict[tuple[str, str], list[str]] = {}
         # sense -> every sense it reaches via zero or more is-a edges
@@ -325,12 +328,16 @@ class Lexicon:
                 raise LexiconError(f"{sense.id!r} carries multiple dimensionality classes",
                                    sense_lines[sense.id])
             vc = sense.attr("vc")
-            if vc is not None and vc not in TEMPLATES:
+            if vc is None:
+                continue
+            if vc not in TEMPLATES:
                 raise LexiconError(f"unknown template {vc!r} in vc= of {sense.id!r}; "
                                    f"expected one of {sorted(TEMPLATES)}", sense_lines[sense.id])
-            if vc in FRAME_TEMPLATES and self.frame_for(sense.id) is None:
+            frame = self.frame_for(sense.id)
+            if vc in FRAME_TEMPLATES and frame is None:
                 raise LexiconError(f"{sense.id!r} has vc={vc} but no selectional frame "
                                    "along its entails chain", sense_lines[sense.id])
+            self.templates[sense.id] = (vc, frame)
 
     def _isa_closure(self) -> dict[str, frozenset[str]]:
         """Reflexive is-a closure of every sense; rejects cycles."""

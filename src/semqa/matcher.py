@@ -11,9 +11,10 @@ completeness constraint and selecting word senses by selectional fit
 
 The matcher applies the lexicon's `PhraseRecord`s as they stand: the
 loader has already parsed every selector into a `Selector` record and
-checked its values, the retain indices and termination, every `vc=`
-template name, and a selectional frame for every frame-driven template,
-so no record format is read here and none of these is checked again.
+checked its values, the retain indices and termination, and compiled each
+`vc=` sense's template and selectional frame into `lexicon.templates`,
+which predication reads; no record format is read here and none of these
+is checked again.
 
 Matching is compiled per form, in the manner of Rete's alpha memories
 (Forgy, *Artificial Intelligence* 19, 1982).  The first time a token is
@@ -67,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import SemqaError
-from .lexicon import Lexicon, PhraseRecord, SelectionalFrame, Selector, attr_value
+from .lexicon import Lexicon, PhraseRecord, Selector, attr_value
 from .semantics import (
     Activity,
     OperatorSet,
@@ -125,6 +126,8 @@ _KEPT_OPS = frozenset({"definite", "indefinite"})
 _KEPT_ATTRIBUTES = frozenset({"singular", "plural", "male", "female", "neuter", "proper",
                               "pronoun"})
 _COMPLETE_REFERENT = frozenset({"proper", "consolidated", "pronoun", "query"})
+# inflections that show present tense
+_PRESENT_FORMS = frozenset({"present", "3sg", "1sg", "plural", "base"})
 
 _CONTRACTIONS = {
     "won't": ("will", "not"),
@@ -255,6 +258,18 @@ def _holds_pronoun(ls, refs) -> bool:
     return any(map(_is_pronoun, refs)) and any(map(_is_pronoun, walk_referents(ls)))
 
 
+def _tense_of(el: Element) -> str | None:
+    """The element's `tense=` attribute, else the tense its inflection
+    shows; None for a form that shows none."""
+    tense = el.attr("tense")
+    if tense is None:
+        if "past" in el.attributes:
+            return "past"
+        if _PRESENT_FORMS & el.attributes:
+            return "present"
+    return tense
+
+
 def tokenize(text: str) -> tuple[list[str], str]:
     """Lowercased word tokens plus an illocutionary-force hint from the
     terminal punctuation (? -> question, otherwise statement)."""
@@ -301,8 +316,6 @@ class Matcher:
         # token, or a literal's words joined by spaces -> its form, built on
         # first sight (a token holds no space, so the two never collide)
         self._forms: dict[str, Form] = {}
-        # predicate sense -> (template, frame), or None without vc=; filled on first use
-        self._templates: dict[str, tuple[str, SelectionalFrame | None] | None] = {}
         # text -> propositions, in insertion order for FIFO eviction
         self._parses: dict[str, tuple[Proposition, ...]] = {}
         # term -> the equal term cached parses share
@@ -415,13 +428,7 @@ class Matcher:
         new_attrs = set(pat.attrs)
         if "chain" in new_attrs:
             new_attrs.discard("chain")
-            left = window[0]
-            locked = left.attr("tense")
-            if locked is None:
-                if "past" in left.attributes:
-                    locked = "past"
-                elif {"present", "3sg", "1sg", "plural", "base"} & left.attributes:
-                    locked = "present"
+            locked = _tense_of(window[0])
             if locked and result.attr("tense") is None:
                 new_attrs.add(f"tense={locked}")
         result.attributes |= new_attrs
@@ -521,15 +528,10 @@ class Matcher:
             raise OperatorChainError(
                 f"auxiliary {leftover_aux[0].surface!r} could not join a verb group")
         ops = verb.ops
-        tense = "future" if "future" in ops else verb.attr("tense")
+        tense = "future" if "future" in ops else _tense_of(verb)
         if tense is None:
-            if "past" in verb.attributes:
-                tense = "past"
-            elif {"present", "3sg", "1sg", "plural", "base"} & verb.attributes:
-                tense = "present"
-            else:
-                raise OperatorChainError(
-                    f"{verb.surface!r} has no finite tense and no auxiliary")
+            raise OperatorChainError(
+                f"{verb.surface!r} has no finite tense and no auxiliary")
         number = "plural" if "plural" in verb.attributes else "singular"
         return OperatorSet(
             tense=tense,
@@ -576,16 +578,6 @@ class Matcher:
             ref = _remember(self._referents, key, self._shared(entity(sense, *kept)))
         return ref
 
-    def _template_of(self, sense_id: str) -> tuple[str, SelectionalFrame | None] | None:
-        """(template, selectional frame) of a predicate sense, or None when
-        it has no `vc=` attribute."""
-        try:
-            return self._templates[sense_id]
-        except KeyError:
-            vc = self.lexicon.sense(sense_id).attr("vc")
-            entry = None if vc is None else (vc, self.lexicon.frame_for(sense_id))
-            return self._templates.setdefault(sense_id, entry)
-
     def _shared(self, term):
         """The matcher's one copy of each equal term, so cached parses of
         different texts share their referents, structures and operators."""
@@ -594,25 +586,24 @@ class Matcher:
             self._referents.clear()     # it holds terms of the old table
         return self._terms.setdefault(term, term)
 
-    def _fits(self, ref: Referent, category: str) -> tuple[bool, bool]:
-        """(fits, used_qualia) for a referent against a role category."""
+    def _fits(self, ref: Referent, category: str) -> bool:
+        """Whether a referent fits a role category of the frame that
+        `lexicon.templates` pairs with the predicate; a referent that does
+        not may fit through a qualia association (car has-a engine)."""
         if ref.kind in ("query", "unspecified"):
             if ref.focus == "who":
                 return (self.lexicon.holds_category("r:person", category)
-                        or self.lexicon.holds_category(category, "r:person"), False)
-            return True, False
+                        or self.lexicon.holds_category(category, "r:person"))
+            return True
         if ref.kind == "bundle":
-            results = [self._fits(m, category) for m in ref.members]
-            return all(f for f, _ in results), any(q for _, q in results)
+            return all(self._fits(m, category) for m in ref.members)
         if ref.has("pronoun"):
-            return True, False
+            return True
         if self.lexicon.holds_category(ref.sense, category):
-            return True, False
-        for assoc, _kind in self.lexicon.qualia_expand(ref.sense):
-            if self.lexicon.sense(assoc).category == "referent" \
-                    and self.lexicon.holds_category(assoc, category):
-                return True, True
-        return False, False
+            return True
+        return any(self.lexicon.sense(assoc).category == "referent"
+                   and self.lexicon.holds_category(assoc, category)
+                   for assoc, _kind in self.lexicon.qualia_expand(ref.sense))
 
     def _clause_parts(self, elements: list[Element], verb: Element):
         """The verb's role-labelled elements, and the plain complete
@@ -648,15 +639,13 @@ class Matcher:
                     ops: OperatorSet, parts):
         lex = self.lexicon
         sense = lex.sense(sense_id)
-        template, frame = self._template_of(sense_id)
+        template, frame = lex.templates[sense_id]
         labeled, pre_refs, post_refs = parts
         consumed: set[int] = set()
         roles: dict[str, Referent] = {}
-        used_elements: dict[str, Element] = {}
 
         def consume(role: str, el: Element):
             roles[role] = self._referent_of(el)
-            used_elements[role] = el
             consumed.add(id(el))
 
         subject = pre_refs[-1] if pre_refs else None
@@ -690,7 +679,7 @@ class Matcher:
                 ls = build_state(lex, "p:be-LOC", roles["position"], roles["located"])
             else:
                 raise MeaninglessError("copula clause has no position to predicate")
-            return ls, roles, consumed, False
+            return ls, roles, consumed
 
         if template == "have-state":
             holder = None
@@ -705,16 +694,14 @@ class Matcher:
             if not pool:
                 raise CompletenessError("have state needs an object")
             consume("undergoer", pool[0])
-            ok, _ = self._fits(roles["undergoer"], "r:thing")
-            if not ok:
+            if not self._fits(roles["undergoer"], "r:thing"):
                 raise MeaninglessError("object does not fit possession")
             ls = build_state(lex, "p:have", roles["actor"], roles["undergoer"])
-            return ls, roles, consumed, False
+            return ls, roles, consumed
 
         # frame-driven linking for motion / transfer / acquire / release / activity;
         # the loader guarantees these senses a frame
         open_roles = [r.name for r in frame.roles]
-        qualia_used = False
 
         if ops.voice == "passive":
             if "agent" in labeled and "actor" in open_roles:
@@ -741,9 +728,7 @@ class Matcher:
                 consume("undergoer", post_pool[0])
                 open_roles.remove("undergoer")
             for name in list(open_roles):
-                frame_role = frame.role(name)
-                ok, _ = self._fits(self._referent_of(subject), frame_role.category)
-                if ok:
+                if self._fits(self._referent_of(subject), frame.role(name).category):
                     consume(name, subject)
                     open_roles.remove(name)
                     break
@@ -753,9 +738,8 @@ class Matcher:
                 and "undergoer" in open_roles and len(pool) >= 2):
             # double-object order: "gave Mary the milk"
             first, second = pool[0], pool[1]
-            first_fits, _ = self._fits(self._referent_of(first), "r:person")
-            second_fits, _ = self._fits(self._referent_of(second), "r:thing")
-            if first_fits and second_fits:
+            if (self._fits(self._referent_of(first), "r:person")
+                    and self._fits(self._referent_of(second), "r:thing")):
                 consume("recipient", first)
                 consume("undergoer", second)
                 open_roles.remove("recipient")
@@ -763,21 +747,10 @@ class Matcher:
                 pool = [el for el in pool if id(el) not in consumed]
 
         for name in list(open_roles):
-            frame_role = frame.role(name)
-            chosen = None
-            for el in pool:
-                if not el.is_query():
-                    ok, _ = self._fits(self._referent_of(el), frame_role.category)
-                    if ok:
-                        chosen = el
-                        break
-            if chosen is None:
-                for el in pool:
-                    if el.is_query():
-                        ok, _ = self._fits(self._referent_of(el), frame_role.category)
-                        if ok:
-                            chosen = el
-                            break
+            category = frame.role(name).category
+            # a plain referent wins a role before a question slot does
+            chosen = next((el for el in sorted(pool, key=Element.is_query)
+                           if self._fits(self._referent_of(el), category)), None)
             if chosen is not None:
                 consume(name, chosen)
                 open_roles.remove(name)
@@ -797,11 +770,9 @@ class Matcher:
             frame_role = frame.role(name)
             if frame_role is None:
                 continue
-            ok, via_qualia = self._fits(ref, frame_role.category)
-            if not ok:
+            if not self._fits(ref, frame_role.category):
                 raise MeaninglessError(
                     f"{ref.head()} does not fit role {name!r} of {sense_id!r}")
-            qualia_used = qualia_used or via_qualia
 
         if ({"wants-up", "wants-down"} & sense.attributes
                 and "particle-done" not in verb.attributes):
@@ -828,7 +799,7 @@ class Matcher:
                                                         roles["undergoer"])))
         else:   # "activity", the last of the names the loader admits
             ls = Activity(roles["actor"], sense_id, roles.get("undergoer"))
-        return ls, roles, consumed, qualia_used
+        return ls, roles, consumed
 
     def _cast_readings(self, elements: list[Element], ops: OperatorSet, source: str,
                        mains: list[Element]) -> list[Proposition]:
@@ -843,10 +814,10 @@ class Matcher:
         failures: list[str] = []
         parts = self._clause_parts(elements, verb)
         for sense_id, _ in verb.senses:
-            if self._template_of(sense_id) is None:
+            if sense_id not in self.lexicon.templates:
                 continue
             try:
-                ls, roles, consumed, _ = self._cast_sense(sense_id, verb, elements, ops, parts)
+                ls, roles, consumed = self._cast_sense(sense_id, verb, elements, ops, parts)
             except MatchError as exc:
                 failures.append(f"{sense_id}: {exc}")
                 continue

@@ -9,6 +9,7 @@ import pytest
 
 import semqa
 from semqa import ContextTracker, Matcher, QueryConfig
+from semqa.babi import parse_babi_file
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +22,7 @@ def matcher(lex):
     return Matcher(lex)
 
 
-@pytest.fixture(scope="session")
-def synth():
+def load_synth():
     """The benchmark's story generator and world simulator, `perfbench/synth.py`;
     no bytecode cache is written into the benchmark's directory."""
     perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -34,6 +34,43 @@ def synth():
     finally:
         sys.path.remove(perfbench)
         sys.dont_write_bytecode = saved
+
+
+@pytest.fixture(scope="session")
+def synth():
+    return load_synth()
+
+
+def _stale_give_story(synth, rng):
+    """A task-5 story whose give-what question may expect a stale object,
+    one the giver handed the recipient earlier (a documented dataset
+    error); None when nobody gave anything."""
+    w = synth.World()
+    lines = [synth.Line(synth.gen_possession(rng, w)) for _ in range(rng.randrange(6, 12))]
+    if not w.gives:
+        return None
+    giver, obj, recipient = w.gives[-1]
+    q = rng.choice([lambda: w.ask_give_what(giver, recipient, rng),
+                    lambda: w.ask_give_whom(giver, obj),
+                    lambda: w.ask_give_who(obj, recipient)])()
+    return lines + [synth.Line(synth.question_text(q), q)]
+
+
+def synthetic_stories(task: int, count: int, seed: int, stale: int = 0):
+    """`count` stories of one task family from `perfbench/synth.py`, drawn
+    from `random.Random(seed)` and parsed from their bAbI document, with
+    each story's question from the simulator.  With `stale`, task-5
+    stories are drawn until at least that many expect a stale answer."""
+    synth = load_synth()
+    rng = random.Random(seed)
+    drawn: list = []
+    injected = 0
+    while len(drawn) < count or injected < stale:
+        story = _stale_give_story(synth, rng) if stale else synth.family_story(rng, task)
+        if story is not None:
+            drawn.append(story)
+            injected += story[-1].question.injected
+    return parse_babi_file(synth.babi_document(drawn)), [s[-1].question for s in drawn]
 
 
 def make_tracker(lex, **kw) -> ContextTracker:

@@ -1,7 +1,8 @@
 """Golden snapshot of what the engine produces on a fixed input set.
 
-Covers every bundled fixture and a small fixed synthetic sample (a few
-stories per task family, plus task-5 stories with injected stale answers).
+Covers every bundled fixture and a small fixed synthetic sample from the
+benchmark's simulator, `perfbench/synth.py` (a few stories per task
+family, plus task-5 stories with injected stale answers).
 For each story it records the context trace (every ingested item's
 trace line) and, for each question:
 
@@ -33,7 +34,7 @@ from semqa.matcher import Matcher
 from semqa.nlg import RealizationRequest, realize_answer
 from semqa.semantics import render
 
-from test_synthetic_scale import run_synthetic
+from conftest import synthetic_stories
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "engine_snapshot.txt"
 SYNTHETIC_TASKS = (1, 5, 6, 7, 8, 9, 11, 12, 13)
@@ -52,14 +53,12 @@ def fixture_documents() -> list[tuple[str, int | None, str]]:
 
 def synthetic_sets():
     for task in SYNTHETIC_TASKS:
-        stories, _ = run_synthetic(task, SYNTHETIC_STORIES, seed=500 + task)
+        stories, _ = synthetic_stories(task, SYNTHETIC_STORIES, seed=500 + task)
         yield f"synthetic task {task}", task, stories
     # injections are rare: keep the stories that carry one
-    stories, injected = run_synthetic(5, 10, seed=222, inject_errors=True,
-                                      min_injected=3)
-    assert len(injected) >= 3
+    stories, asked = synthetic_stories(5, 10, seed=222, stale=3)
     yield ("synthetic task 5 injected", 5,
-           [stories[i - 1] for i in sorted({story for story, _ in injected})])
+           [story for story, q in zip(stories, asked) if q.injected])
 
 
 def _error(exc: Exception) -> str:

@@ -275,6 +275,15 @@ def test_frame_driven_sense_needs_a_frame_at_load():
         load_lexicon(text.replace(frame, ""))
 
 
+def test_templates_are_compiled_at_load(lex):
+    with_vc = {sid for sid, sense in lex.senses.items() if sense.attr("vc")}
+    assert with_vc and lex.templates.keys() == with_vc
+    for sid in with_vc:
+        assert lex.templates[sid] == (lex.sense(sid).attr("vc"), lex.frame_for(sid))
+    tiny = load_lexicon('sense p:be predicate {vc=be-state} "exist"\n')
+    assert tiny.templates == {"p:be": ("be-state", None)}
+
+
 def test_record_lines_split_as_shell_words():
     lines = [line for line in semqa.core_lexicon_text().splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
