@@ -130,8 +130,7 @@ def _collect_have_events(term, index: int, causer, counterparty: bool,
             leaf, positive = term.inner, True
             if isinstance(leaf, Wrapped) and leaf.op == "NOT":
                 leaf, positive = leaf.inner, False
-            if isinstance(leaf, State) and leaf.pred == "p:have" \
-                    and isinstance(leaf.arg1, Referent) and isinstance(leaf.arg2, Referent):
+            if isinstance(leaf, State) and leaf.pred == "p:have":
                 out.append(HaveEvent(leaf.arg1, leaf.arg2, positive, causer,
                                      counterparty, index))
         elif term.op in ("INGR", "NOT"):
@@ -149,8 +148,7 @@ def _position_states(term, found: list[State] | None = None) -> list[State]:
     if found is None:
         found = []
     if isinstance(term, State) and term.pred in _POSITION_PREDS:
-        if isinstance(term.arg1, Referent) and isinstance(term.arg2, Referent):
-            found.append(term)
+        found.append(term)
     elif isinstance(term, Wrapped) and term.op != "NOT":
         _position_states(term.inner, found)
     elif isinstance(term, Linked):
@@ -227,7 +225,14 @@ class ContextTracker:
         return out
 
     def current_position(self, entity: Referent) -> PositionEntry | None:
-        """Latest still-valid position (see `_advance`)."""
+        """Latest still-valid position (see `_advance`); a bundle's is its
+        members' common one, the latest of their entries, or None when
+        they are apart."""
+        if entity.kind == "bundle":
+            curs = [self.current_position(m) for m in entity.members]
+            if None in curs or not all(_same_location(c.state, curs[0].state) for c in curs):
+                return None
+            return max(curs, key=lambda c: c.index)
         cur = None
         for entry in self.positions_of(entity):
             cur = _advance(cur, entry)
@@ -319,8 +324,7 @@ class ContextTracker:
     def _answer_where(self, ls, ops: OperatorSet) -> AnswerContent:
         if not isinstance(ls, State):
             # "Where did Mary go?" carries the query inside the result state
-            states = [s for s in _position_states(ls)
-                      if isinstance(s.arg1, Referent) and s.arg1.is_query]
+            states = [s for s in _position_states(ls) if s.arg1.is_query]
             if not states:
                 raise UnsupportedQuestionError("no position slot to solve for")
             ls = states[0]
@@ -346,7 +350,7 @@ class ContextTracker:
             support = [cur.index] if cur else []
             if not yes:
                 for other, other_cur in self._located_positions():
-                    if referent_matches(other, entity) and referent_matches(entity, other):
+                    if referent_matches(other, entity):    # the asked one, or its member
                         continue
                     if other_cur is not None and _same_location(other_cur.state, ls):
                         contrast = other
@@ -359,8 +363,7 @@ class ContextTracker:
                 item_tense=cur.tense if cur else None)
         if isinstance(ls, State) and ls.pred == "p:have":
             held = {obj.sense for obj, _ in self.held_now(ls.arg1)}
-            want = ls.arg2
-            yes = isinstance(want, Referent) and want.sense in held
+            yes = ls.arg2.sense in held
             return AnswerContent("polar", polarity="yes" if yes else "no",
                                  echo=ops, topic=ls.arg1, aux_hint="do")
         events = self._receive_events(ls)
@@ -494,8 +497,6 @@ def _position_value(state: State) -> State:
 
 def _same_location(a: State, b: State) -> bool:
     loc_a, loc_b = a.arg1, b.arg1
-    if not (isinstance(loc_a, Referent) and isinstance(loc_b, Referent)):
-        return False
     preds_ok = a.pred == b.pred or ANY_POSITION_PRED in (a.pred, b.pred)
     return preds_ok and loc_a.kind == "entity" and loc_b.kind == "entity" \
         and loc_a.sense == loc_b.sense

@@ -161,9 +161,6 @@ class Lexicon:
         # sense -> last sense of its entails chain
         self._entails_base: dict[str, str] = {}
 
-    def __len__(self):
-        return len(self.senses)
-
     # -- lookups -------------------------------------------------------
 
     def senses_of(self, form: str) -> list[tuple[str, frozenset[str]]]:

@@ -48,17 +48,20 @@ trigger is present, rescan from 0; `tests/test_fixpoint.py` keeps it):
   firing left alone, and every consolidation already failed on it in an
   earlier round.
 
+The lexicon's `attrs=chain` records are the only verb-group rule.  A
+question's fronted auxiliary ("Will Mary go…?", "Did Mary go…?") is not
+adjacent to its verb, so after the fixpoint the first auxiliary that
+opens a chain record joins the first predicate after the subject through
+that same record, and the verb group reads as it would adjacently.
+
 A parse depends only on the text and the matcher: the lexicon is
 read-only, pronouns stay unresolved until the context ingests the
 sentence, and every result is frozen.  So each matcher caches its
 successful parses by text (at most `PARSE_CACHE_SIZE`, oldest evicted
-first).  It also keeps one copy of each equal entity referent, logical
-structure and operator set it builds, so cached parses of different
-texts share them; that table, the referent table with it, and the
-openers table each start over when they reach the same size.  Each
-proposition records whether its structure holds a pronoun, so the
-context walks only those.  Failures are not cached; they are raised
-again on every call.
+first); the referent and openers tables each start over when they reach
+the same size.  Each proposition records whether its structure holds a
+pronoun, so the context walks only those.  Failures are not cached; they
+are raised again on every call.
 Concurrent callers may share a matcher: the tables only ever map a key
 to an equal value, and eviction tolerates a racing caller.
 """
@@ -318,8 +321,6 @@ class Matcher:
         self._forms: dict[str, Form] = {}
         # text -> propositions, in insertion order for FIFO eviction
         self._parses: dict[str, tuple[Proposition, ...]] = {}
-        # term -> the equal term cached parses share
-        self._terms: dict = {}
         # (surface, ids, cats, reach, attributes) of a consolidated element -> its openers
         self._opened: dict[tuple, tuple[PhraseRecord, ...]] = {}
         # (senses, kept ops and attributes) of an entity element -> its shared referent
@@ -468,46 +469,27 @@ class Matcher:
 
     def _reunite_fronted_aux(self, elements: list[Element]):
         """Subject-auxiliary inversion and do-support questions split the
-        auxiliary from its verb; re-apply the chain rule non-adjacently."""
-        for i, aux in enumerate(elements):
-            if "consumed" in aux.attributes or "aux" not in aux.attributes:
-                continue
-            pairs = []
-            ids = aux.ids
-            if "p:do" in ids:
-                pairs.append(("base", None))
-            if "p:be" in ids:
-                pairs.append(("present-participle", "progressive"))
-                pairs.append(("past-participle", "passive"))
-            if "p:have" in ids:
-                pairs.append(("past-participle", "perfect"))
-            if "m:will" in ids:
-                pairs.append(("base", None))
-            if not pairs:
-                continue
-            seen_ref = False
-            for verb in elements[i + 1:]:
-                if verb.is_referent() and not verb.is_query():
-                    seen_ref = True
-                    continue
-                if not seen_ref:
-                    continue
-                if "predicate" not in verb.cats:
-                    continue
-                for attr_needed, op in pairs:
-                    if attr_needed in verb.attributes and "p:do" not in verb.ids:
-                        if verb is aux:
-                            continue
-                        if op:
-                            verb.ops.add(op)
-                        verb.ops |= aux.ops
-                        if "past" in aux.attributes:
-                            verb.attributes.add("tense=past")
-                        elif {"present", "3sg", "1sg", "plural"} & aux.attributes:
-                            verb.attributes.add("tense=present")
+        auxiliary from its verb.  The first auxiliary that opens a chain
+        record joins, through that record, the first predicate after the
+        subject, as it would have joined it adjacently."""
+        at = next((i for i, el in enumerate(elements)
+                   if "aux" in el.attributes and "consumed" not in el.attributes
+                   and any("chain" in p.attrs for p in el.openers)), None)
+        if at is None:
+            return
+        aux = elements[at]
+        seen_ref = False
+        for k in range(at + 1, len(elements)):
+            verb = elements[k]
+            if verb.is_referent() and not verb.is_query():
+                seen_ref = True
+            elif seen_ref and "predicate" in verb.cats:
+                for pat in aux.openers:
+                    if "chain" in pat.attrs and _selector_matches(pat.selectors[1], verb):
+                        elements[k] = self._consolidate(pat, [aux, verb])[0]
                         aux.attributes.add("consumed")
-                        return
-                break
+                        break
+                return
 
     def extract_operators(self, elements: list[Element], if_hint: str = "statement",
                           mains: list[Element] | None = None) -> OperatorSet:
@@ -575,16 +557,8 @@ class Matcher:
         if ref is None:
             sense = next(s for s, _ in el.senses
                          if self.lexicon.sense(s).category == "referent")
-            ref = _remember(self._referents, key, self._shared(entity(sense, *kept)))
+            ref = _remember(self._referents, key, entity(sense, *kept))
         return ref
-
-    def _shared(self, term):
-        """The matcher's one copy of each equal term, so cached parses of
-        different texts share their referents, structures and operators."""
-        if len(self._terms) >= PARSE_CACHE_SIZE:
-            self._terms.clear()     # stays bounded; sharing starts over
-            self._referents.clear()     # it holds terms of the old table
-        return self._terms.setdefault(term, term)
 
     def _fits(self, ref: Referent, category: str) -> bool:
         """Whether a referent fits a role category of the frame that
@@ -844,17 +818,15 @@ class Matcher:
             if actorish is not None and actorish.kind == "bundle":
                 number = "plural"
             host_ops = ops if number == ops.number else ops.with_(number=number)
-            ls = self._shared(ls)
             pronoun = _holds_pronoun(ls, roles.values())
             embedded = ()
             if "no-longer" in verb.attributes:
                 # cessation reads as: it was so, and now it is not
-                twin = Proposition(ls, self._shared(host_ops.with_(tense="past",
-                                                                   polarity="positive")),
+                twin = Proposition(ls, host_ops.with_(tense="past", polarity="positive"),
                                    source=source, pronoun=pronoun)
                 host_ops = host_ops.with_(tense="present", polarity="negative")
                 embedded = (twin,)
-            props.append(Proposition(ls, self._shared(host_ops), embedded, source, pronoun))
+            props.append(Proposition(ls, host_ops, embedded, source, pronoun))
         return props
 
     def _bare_position(self, elements: list[Element], ops: OperatorSet,

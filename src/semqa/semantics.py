@@ -126,8 +126,8 @@ class State:
     """
 
     pred: str
-    arg1: Arg
-    arg2: Arg = UNSPECIFIED
+    arg1: Referent
+    arg2: Referent = UNSPECIFIED
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +203,7 @@ def render(term: Arg, lexicon=None) -> str:
 
 # -- construction templates ---------------------------------------------
 
-def build_state(lexicon, pred: str, arg1: Arg, arg2: Arg = UNSPECIFIED) -> State:
+def build_state(lexicon, pred: str, arg1: Referent, arg2: Referent = UNSPECIFIED) -> State:
     """State template; positional states take the location first."""
     sense = lexicon.sense(pred)
     if sense.category != "predicate":
@@ -314,22 +314,14 @@ def _bind(bindings: dict, focus: str, value) -> bool:
     return True
 
 
-def _match_arg(lexicon, q: Arg, item: Arg, bindings: dict,
+def _match_arg(q: Referent, item: Referent, bindings: dict,
                item_state: Optional[State] = None, slot: int = 0) -> bool:
-    if isinstance(q, Referent) and isinstance(item, Referent):
-        if q.is_query:
-            if q.focus == "where" and item_state is not None and slot == 1:
-                # a where-slot binds the whole position, not just the object
-                value: Arg = State(item_state.pred, item_state.arg1, UNSPECIFIED)
-            else:
-                value = item
-            return _bind(bindings, q.focus or "?", value)
-        return referent_matches(q, item)
-    if isinstance(q, Referent) and not isinstance(item, Referent):
-        return q.kind in ("query", "unspecified")
-    if not isinstance(q, Referent) and isinstance(item, Referent):
-        return False
-    return _unify(lexicon, q, item, bindings)
+    if q.is_query:
+        if q.focus == "where" and item_state is not None and slot == 1:
+            # a where-slot binds the whole position, not just the object
+            return _bind(bindings, q.focus, State(item_state.pred, item_state.arg1))
+        return _bind(bindings, q.focus or "?", item)
+    return referent_matches(q, item)
 
 
 def _unify(lexicon, q: Term, item: Term, bindings: dict) -> bool:
@@ -337,8 +329,8 @@ def _unify(lexicon, q: Term, item: Term, bindings: dict) -> bool:
         if not _preds_compatible(lexicon, q.pred, item.pred):
             return False
         trial = dict(bindings)
-        if (_match_arg(lexicon, q.arg1, item.arg1, trial, item, 1)
-                and _match_arg(lexicon, q.arg2, item.arg2, trial, item, 2)):
+        if (_match_arg(q.arg1, item.arg1, trial, item, 1)
+                and _match_arg(q.arg2, item.arg2, trial, item, 2)):
             bindings.clear()
             bindings.update(trial)
             return True
@@ -350,13 +342,13 @@ def _unify(lexicon, q: Term, item: Term, bindings: dict) -> bool:
         if q.pred is not None and item.pred is None:
             return False
         trial = dict(bindings)
-        if not _match_arg(lexicon, q.actor, item.actor, trial):
+        if not _match_arg(q.actor, item.actor, trial):
             return False
         if q.undergoer is not None:
             if item.undergoer is None:
                 if not q.undergoer.is_query and q.undergoer.kind != "unspecified":
                     return False
-            elif not _match_arg(lexicon, q.undergoer, item.undergoer, trial):
+            elif not _match_arg(q.undergoer, item.undergoer, trial):
                 return False
         bindings.clear()
         bindings.update(trial)

@@ -80,6 +80,13 @@ def test_repl_session(monkeypatch, capsys):
     assert "be-in'(the kitchen,mary)" in out
 
 
+def test_repl_answers_a_fronted_modal_in_the_future(monkeypatch, capsys):
+    lines = iter(["Mary went to the garden.", "Will Mary go to the garden?", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda _="": next(lines))
+    assert main(["repl"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "Yes, she will."
+
+
 def test_repl_babi_last_keeps_latest_transfer(monkeypatch, capsys):
     lines = iter(["Bill handed the apple to Jeff.", "Bill passed the football to Jeff.",
                   "What did Bill give to Jeff?", ":quit"])

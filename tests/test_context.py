@@ -291,6 +291,22 @@ def test_polar_negation_with_contrast(lex, matcher):
     assert yes.polarity == "yes"
 
 
+def test_bundle_position_follows_its_members(lex, matcher):
+    t = ingest_all(matcher, make_tracker(lex), [
+        "Mary and John went to the garden.", "John went to the kitchen.",
+        "Mary went to the kitchen."])
+    polar = answer(matcher, t, "Are Mary and John in the kitchen?")
+    assert (polar.polarity, polar.contrast, polar.support) == ("yes", None, [3])
+    where = answer(matcher, t, "Where are Mary and John?")
+    assert [render(b) for b in where.bindings] == ["be-in'(the kitchen,0)"]
+    assert where.support == [3]
+    # apart, the bundle is nowhere, and a member is no contrast to it
+    ingest_all(matcher, t, ["John went to the garden."])
+    assert answer(matcher, t, "Where are Mary and John?").bindings == []
+    polar = answer(matcher, t, "Are Mary and John in the kitchen?")
+    assert (polar.polarity, polar.contrast) == ("no", None)
+
+
 def test_negative_does_not_erase_history(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), ["Fred is no longer in the office."])
     past = answer(matcher, t, "Where was Fred?")

@@ -27,7 +27,7 @@ def test_direct_record_load():
 
 def test_empty_document_is_empty_lexicon():
     lex = load_lexicon("")
-    assert len(lex) == 0
+    assert not lex.senses
     assert lex.senses_of("anything") == []
 
 
