@@ -95,9 +95,7 @@ def parse_babi_file(document: str) -> list[list[BabiRecord]]:
             stories.append(current)
             current = []
         if "\t" in rest:
-            fields = rest.split("\t")
-            if len(fields) < 2:
-                raise BabiFormatError("question line needs an answer field", lineno)
+            fields = rest.split("\t")      # a tab makes at least two fields
             text = fields[0].strip()
             expected = fields[1].strip()
             support: tuple[int, ...] = ()
@@ -211,15 +209,14 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
 def audit_mismatch(result: RunResult, content: AnswerContent,
                    items: list[ContextItem]) -> tuple[str | None, str]:
     """Classify a mismatch against the registered dataset-error rules;
-    `content` is the untrimmed answer, `items` the story's context.
+    `result` is a mismatched answer, `content` the untrimmed answer, and
+    `items` the story's context.
 
     G1: the expected answer matches an earlier transfer that a later
         give-equivalent supersedes (the dataset ignored the newer transfer).
     G2: a receive question whose latest gain is a self-acquisition
         (take/get/grab/pick up); the dataset expected the directed transfer.
     """
-    if result.status == "passed":
-        return None, ""
     if not content.bindings:
         return None, "no matching context items; engine or data gap"
     produced_norm = normalize_answer(result.produced)

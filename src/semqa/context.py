@@ -8,15 +8,16 @@ proposition says it holds no pronoun (`Proposition.pronoun`, set by the
 matcher) is used without a walk; one built by hand is walked.  Questions
 intersect the stored items against their own logical structure:
 present-tense position questions return the latest still-valid element,
-past tense returns the list.  Possession questions replay the have'
-ledger, one row per object: the item of its latest gain, or None once
-lost.  Transfer questions collect every matching item in context order
-(`latest_match` keeps only the last, as the bAbI datasets expect).
+past tense returns the list, which a past-tense polar question also
+asks.  Possession questions replay the have' ledger, one row per object:
+the item of its latest gain, or None once lost.  Transfer questions
+collect every matching item in context order (`latest_match` keeps only
+the last, as the bAbI datasets expect).
 
-A question reads the items in one pass, or two for a polar "no" and a
-past-tense "where", never once per entity: the contrast of a polar "no"
-("No, but Mary is.") and "Who is in X?" take every located entity's
-current position from one fold over the items.
+A question reads the items in one pass, or two for a present-tense polar
+"no", never once per entity: the contrast of that "no" ("No, but Mary
+is.") and "Who is in X?" take every located entity's current position
+from one fold over the items.
 """
 
 from __future__ import annotations
@@ -344,11 +345,17 @@ class ContextTracker:
     def _answer_polar(self, ls, ops: OperatorSet) -> AnswerContent:
         if isinstance(ls, State) and ls.pred in _POSITION_PREDS:
             entity = ls.arg2
-            cur = self.current_position(entity)
-            yes = cur is not None and _same_location(cur.state, ls)
+            if ops.tense == "past":
+                # the locations "Where was X?" lists; a "no" names no contrast
+                cur = next((e for e in self.past_positions(entity)
+                            if _same_location(e.state, ls)), None)
+                yes = cur is not None
+            else:
+                cur = self.current_position(entity)
+                yes = cur is not None and _same_location(cur.state, ls)
             contrast = None
             support = [cur.index] if cur else []
-            if not yes:
+            if not yes and ops.tense != "past":
                 for other, other_cur in self._located_positions():
                     if referent_matches(other, entity):    # the asked one, or its member
                         continue

@@ -3,11 +3,13 @@
 There is no parse tree and no part-of-speech tagging.  Tokens link to
 candidate word senses; literal and consolidation phrase records are
 applied to a fixpoint, merging adjacent elements into labelled sets.
-Predication then converts the consolidated clause into a disambiguated
+Predication then converts the consolidated clause into one disambiguated
 logical structure: each candidate sense of the main predicate is cast
 through the template its `vc=` attribute names, enforcing the
 completeness constraint and selecting word senses by selectional fit
-(with a qualia retry for associations like car has-a engine).
+(with a qualia retry for associations like car has-a engine).  A clause
+yields exactly one proposition; when no reading survives, or more than
+one distinct reading does, the sentence fails.
 
 The matcher applies the lexicon's `PhraseRecord`s as they stand: the
 loader has already parsed every selector into a `Selector` record and
@@ -27,11 +29,12 @@ element's fields, and a window is tried only where its first element
 opens it.  A consolidated element keeps its retained element's verb flag
 (a bundle is no verb; the loader rejects a consolidation whose `attrs=`
 names a template), so the main verb, a leftover auxiliary and the verbs
-after a relative marker are read off the flag, and each parse finds its
-main verb once for operator extraction and predication alike.  A
-consolidated element gets its openers when it is made, from a table keyed
-by the fields a first selector reads (surface, sense ids, universals,
-reach, attributes); an entity referent comes from a table keyed by the
+after a relative marker are read off the flag.  Main and relative
+clauses go through one clause step, which finds the clause's main verbs
+once for operator extraction and predication alike.  A consolidated
+element gets its openers when it is made, from a table keyed by the
+fields a first selector reads (surface, sense ids, universals, reach,
+attributes); an entity referent comes from a table keyed by the
 element's senses and the ops and attributes a referent keeps.
 
 Each fixpoint round fires the first consolidation, in lexicon order, at
@@ -56,12 +59,13 @@ that same record, and the verb group reads as it would adjacently.
 
 A parse depends only on the text and the matcher: the lexicon is
 read-only, pronouns stay unresolved until the context ingests the
-sentence, and every result is frozen.  So each matcher caches its
-successful parses by text (at most `PARSE_CACHE_SIZE`, oldest evicted
-first); the referent and openers tables each start over when they reach
-the same size.  Each proposition records whether its structure holds a
-pronoun, so the context walks only those.  Failures are not cached; they
-are raised again on every call.
+sentence, and every result is frozen.  So each matcher caches one
+proposition per successfully parsed text (at most `PARSE_CACHE_SIZE`,
+oldest evicted first) and returns it as is; the referent and openers
+tables each start over when they reach the same size.  Each proposition
+records whether its structure holds a pronoun, so the context walks only
+those.  Failures, an empty text's among them, are not cached; they are
+raised again on every call.
 Concurrent callers may share a matcher: the tables only ever map a key
 to an equal value, and eviction tolerates a racing caller.
 """
@@ -117,9 +121,7 @@ class OperatorChainError(MatchError):
 
 
 class AmbiguousMatchError(MatchError):
-    def __init__(self, readings):
-        super().__init__(f"{len(readings)} distinct readings survived")
-        self.readings = readings
+    """More than one distinct reading survives selection."""
 
 
 ROLE_LABELS = frozenset({"destination", "recipient", "source", "agent", "position"})
@@ -209,8 +211,6 @@ class Element:
         return "query" in self.attributes
 
     def is_vacuous(self, lexicon: Lexicon) -> bool:
-        if "consumed" in self.attributes:
-            return True
         if not self.senses:
             return False
         return all(lexicon.sense(s).category == "modifier"
@@ -319,8 +319,8 @@ class Matcher:
         # token, or a literal's words joined by spaces -> its form, built on
         # first sight (a token holds no space, so the two never collide)
         self._forms: dict[str, Form] = {}
-        # text -> propositions, in insertion order for FIFO eviction
-        self._parses: dict[str, tuple[Proposition, ...]] = {}
+        # text -> its proposition, in insertion order for FIFO eviction
+        self._parses: dict[str, Proposition] = {}
         # (surface, ids, cats, reach, attributes) of a consolidated element -> its openers
         self._opened: dict[tuple, tuple[PhraseRecord, ...]] = {}
         # (senses, kept ops and attributes) of an entity element -> its shared referent
@@ -446,16 +446,14 @@ class Matcher:
         return openers
 
     def match_phrases(self, tokens: list[str]) -> list[Element]:
-        """Apply literal then consolidation patterns until no pattern fires."""
+        """Apply literal then consolidation patterns until no pattern fires;
+        the loader makes every firing shrink the element list, so at most
+        `len(tokens) - 1` fire."""
         elements = self._apply_literals(tokens)
-        start = 0
-        # bound: every firing strictly reduces the element count
-        for _ in range(len(tokens) * (len(self.consolidations) + 1) + 1):
-            at = self._fire_first(elements, start)
-            if at is None:
-                return elements
-            start = max(0, at - self._reach_back)
-        raise MatchError("consolidation did not reach a fixpoint")
+        at = self._fire_first(elements, 0)
+        while at is not None:
+            at = self._fire_first(elements, max(0, at - self._reach_back))
+        return elements
 
     # -- operator extraction ----------------------------------------------
 
@@ -741,10 +739,7 @@ class Matcher:
 
         # selectional fit per filled role (word-sense validation)
         for name, ref in roles.items():
-            frame_role = frame.role(name)
-            if frame_role is None:
-                continue
-            if not self._fits(ref, frame_role.category):
+            if not self._fits(ref, frame.role(name).category):
                 raise MeaninglessError(
                     f"{ref.head()} does not fit role {name!r} of {sense_id!r}")
 
@@ -775,10 +770,16 @@ class Matcher:
             ls = Activity(roles["actor"], sense_id, roles.get("undergoer"))
         return ls, roles, consumed
 
-    def _cast_readings(self, elements: list[Element], ops: OperatorSet, source: str,
-                       mains: list[Element]) -> list[Proposition]:
+    def predicate_cast(self, elements: list[Element], ops: OperatorSet, source: str = "",
+                       mains: list[Element] | None = None) -> Proposition:
+        """Convert a consolidated element set into one disambiguated
+        proposition; `mains` is `_main_candidates(elements)` if already
+        found.  Raises when no reading, or more than one distinct reading,
+        survives; equal readings keep the first."""
+        if mains is None:
+            mains = self._main_candidates(elements)
         if not mains:
-            return [self._bare_position(elements, ops, source)]
+            return self._bare_position(elements, ops, source)
         if len(mains) > 1:
             raise MatchError(
                 "more than one unresolved predicate: "
@@ -801,33 +802,26 @@ class Matcher:
             if leftovers:
                 failures.append(
                     f"{sense_id}: element {leftovers[0].surface!r} not consumed")
-                continue
-            readings.append((ls, roles))
+            elif not any(ls == seen for seen, _ in readings):
+                readings.append((ls, roles))
         if not readings:
             raise MeaninglessError(
                 "no word sense survives selection: " + "; ".join(failures))
-        props = []
-        seen = set()
-        for ls, roles in readings:
-            if len(readings) > 1:   # one reading needs no duplicate check
-                if ls in seen:
-                    continue
-                seen.add(ls)
-            actorish = roles.get("actor") or roles.get("located")
-            number = ops.number
-            if actorish is not None and actorish.kind == "bundle":
-                number = "plural"
-            host_ops = ops if number == ops.number else ops.with_(number=number)
-            pronoun = _holds_pronoun(ls, roles.values())
-            embedded = ()
-            if "no-longer" in verb.attributes:
-                # cessation reads as: it was so, and now it is not
-                twin = Proposition(ls, host_ops.with_(tense="past", polarity="positive"),
-                                   source=source, pronoun=pronoun)
-                host_ops = host_ops.with_(tense="present", polarity="negative")
-                embedded = (twin,)
-            props.append(Proposition(ls, host_ops, embedded, source, pronoun))
-        return props
+        if len(readings) > 1:
+            raise AmbiguousMatchError(f"{len(readings)} distinct readings survived")
+        [(ls, roles)] = readings
+        actorish = roles.get("actor") or roles.get("located")
+        if actorish is not None and actorish.kind == "bundle" and ops.number != "plural":
+            ops = ops.with_(number="plural")
+        pronoun = _holds_pronoun(ls, roles.values())
+        embedded = ()
+        if "no-longer" in verb.attributes:
+            # cessation reads as: it was so, and now it is not
+            twin = Proposition(ls, ops.with_(tense="past", polarity="positive"),
+                               source=source, pronoun=pronoun)
+            ops = ops.with_(tense="present", polarity="negative")
+            embedded = (twin,)
+        return Proposition(ls, ops, embedded, source, pronoun)
 
     def _bare_position(self, elements: list[Element], ops: OperatorSet,
                        source: str) -> Proposition:
@@ -839,16 +833,6 @@ class Matcher:
             ls = build_state(self.lexicon, pos[0].attr("pos") or "p:be-LOC", ref, UNSPECIFIED)
             return Proposition(ls, ops, (), source, _holds_pronoun(ls, (ref,)))
         raise MeaninglessError("no predicate matched")
-
-    def predicate_cast(self, elements: list[Element],
-                       operators: OperatorSet, source: str = "") -> Proposition:
-        """Convert a consolidated element set into one disambiguated
-        proposition; raises when zero or several readings survive."""
-        readings = self._cast_readings(elements, operators, source,
-                                       self._main_candidates(elements))
-        if len(readings) > 1:
-            raise AmbiguousMatchError(readings)
-        return readings[0]
 
     # -- embedded clauses ---------------------------------------------------
 
@@ -871,10 +855,8 @@ class Matcher:
                 else:
                     i += 1
                     continue
-                clause = [head.copy()] + elements[i + 2:end]
-                sub_ops = self.extract_operators(clause, "statement")
-                prop = self.predicate_cast(clause, sub_ops, source)
-                embedded.append(prop)
+                embedded.append(self._clause([head.copy()] + elements[i + 2:end],
+                                             "statement", source))
                 head.attributes.add("qualified")
                 del elements[i + 1:end]
             i += 1
@@ -882,40 +864,39 @@ class Matcher:
 
     # -- whole pipeline -------------------------------------------------------
 
-    def parse_utterance(self, text: str) -> list[Proposition]:
-        """Full pipeline; returns every surviving proposition (bAbI-style
-        sentences must yield exactly one).  Repeated texts are answered
-        from the parse cache; the returned list is the caller's own."""
-        props = self._parses.get(text)
-        if props is None:
-            props = tuple(self._parse(text))
+    def _clause(self, elements: list[Element], hint: str, source: str) -> Proposition:
+        """One clause, main or relative: its main verbs found once, then
+        its operators and its one proposition."""
+        mains = self._main_candidates(elements, hint)
+        ops = self.extract_operators(elements, hint, mains)
+        return self.predicate_cast(elements, ops, source, mains)
+
+    def parse_utterance(self, text: str) -> Proposition:
+        """Full pipeline: the text's one proposition.  A repeated text is
+        answered from the parse cache with the same frozen proposition."""
+        prop = self._parses.get(text)
+        if prop is None:
+            prop = self._parse(text)
             cache = self._parses
             while len(cache) >= PARSE_CACHE_SIZE:
                 try:
                     cache.pop(next(iter(cache), None), None)
                 except RuntimeError:
                     pass    # a racing caller resized the cache mid-lookup
-            cache[text] = props
-        return list(props)
+            cache[text] = prop
+        return prop
 
-    def _parse(self, text: str) -> list[Proposition]:
+    def _parse(self, text: str) -> Proposition:
         tokens, hint = tokenize(text)
         if not tokens:
-            return []
+            raise MeaninglessError(f"nothing to match in {text!r}")
         elements = self.match_phrases(tokens)
         relatives = self._extract_relatives(elements, text)
-        mains = self._main_candidates(elements, hint)
-        ops = self.extract_operators(elements, hint, mains)
-        props = self._cast_readings(elements, ops, text, mains)
+        prop = self._clause(elements, hint, text)
         if relatives:
-            props = [replace(p, embedded=tuple(relatives) + p.embedded)
-                     for p in props]
-        return props
+            prop = replace(prop, embedded=tuple(relatives) + prop.embedded)
+        return prop
 
     def parse_single(self, text: str) -> Proposition:
-        props = self.parse_utterance(text)
-        if not props:
-            raise MeaninglessError(f"nothing to match in {text!r}")
-        if len(props) > 1:
-            raise AmbiguousMatchError(props)
-        return props[0]
+        """`parse_utterance` by its older name."""
+        return self.parse_utterance(text)

@@ -9,6 +9,7 @@ import pytest
 import semqa
 from semqa.babi import (
     BabiFormatError,
+    RunResult,
     TaskConfig,
     VocabularyGapError,
     answers_match,
@@ -58,6 +59,16 @@ def test_line_id_reset_starts_new_story():
 
 def test_empty_document():
     assert parse_babi_file("") == []
+
+
+def test_bad_supporting_ids_report_location():
+    with pytest.raises(BabiFormatError, match=r"line 2: bad supporting ids '1 x'"):
+        parse_babi_file("1 Mary went to the kitchen.\n2 Where is Mary?\tkitchen\t1 x\n")
+
+
+def test_blank_lines_are_skipped():
+    [story] = parse_babi_file("1 Mary went to the kitchen.\n\n2 Where is Mary?\tkitchen\t1\n")
+    assert [rec.line_id for rec in story] == [1, 2]
 
 
 def test_malformed_line_reports_location():
@@ -168,6 +179,33 @@ def test_unparseable_statement_fails_only_that_story(lex):
     assert "error" in results[0].produced
 
 
+def test_statements_after_a_failed_one_are_skipped(lex):
+    doc = ("1 Mary went went to the kitchen.\n"
+           "2 Mary went to the office.\n"
+           "3 Where is Mary?\toffice\t2\n")
+    [result] = run_task(parse_babi_file(doc), lex, TaskConfig())
+    assert result.status == "failed"
+    assert result.produced == f"<error: {result.explanation}>"
+
+
+def test_unmatched_question_is_an_unclassified_gap(lex):
+    doc = ("1 Mary went to the kitchen.\n"
+           "2 Where is John?\tkitchen\t1\n")
+    [result] = run_task(parse_babi_file(doc), lex, TaskConfig())
+    assert (result.status, result.produced) == ("failed", "unknown")
+    assert result.explanation == "no matching context items; engine or data gap"
+
+
+def test_unparseable_question_fails_only_that_question(lex):
+    doc = ("1 Mary went to the kitchen.\n"
+           "2 Where is is Mary?\tkitchen\t1\n"
+           "3 Where is Mary?\tkitchen\t1\n")
+    results = run_task(parse_babi_file(doc), lex, TaskConfig())
+    assert [r.status for r in results] == ["failed", "passed"]
+    assert results[0].produced.startswith("<error: ")
+    assert results[0].explanation and results[0].explanation in results[0].produced
+
+
 def test_programming_error_propagates_out_of_run_task(lex, monkeypatch):
     # only typed engine failures become failed answers; a bug must crash
     def broken(*args):
@@ -207,6 +245,12 @@ def test_empty_results_report():
     assert report.summary() == "no questions scored"
 
 
+def test_all_dataset_errors_leave_no_audited_accuracy():
+    report = score([RunResult(1, 2, "q", "a", "b", "gigo", classification="G1")])
+    assert report.audited_accuracy is None
+    assert report.summary().endswith("audited n/a (1 dataset errors, 0 engine failures)")
+
+
 # -- export ---------------------------------------------------------------------
 
 def test_csv_golden_row(lex, tmp_path):
@@ -225,6 +269,17 @@ def test_csv_gigo_row_and_determinism(lex, tmp_path):
     export_csv(run_task(fixture_stories(5), lex, TaskConfig(task=5)), b)
     assert a.read_bytes() == b.read_bytes()
     assert any(line.endswith(",gigo") for line in a.read_text().splitlines())
+
+
+def test_csv_quotes_a_field_with_a_comma(lex, tmp_path):
+    doc = ("1 Mary picked up the milk.\n"
+           "2 Mary got the football.\n"
+           "3 What is Mary carrying?\tmilk,football\t1 2\n")
+    results = run_task(parse_babi_file(doc), lex, TaskConfig())
+    path = tmp_path / "list.csv"
+    export_csv(results, path)
+    assert path.read_text("utf-8").splitlines()[1] == (
+        '1,"What is Mary carrying?","milk,football","football,milk",passed')
 
 
 def test_csv_empty_results(tmp_path):

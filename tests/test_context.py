@@ -274,6 +274,25 @@ def test_where_past_reads_the_positions_once(lex, matcher, monkeypatch, include_
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize("include_current, place, yes", [
+    (True, "garden", True), (True, "kitchen", True), (True, "office", False),
+    (False, "garden", True), (False, "kitchen", False), (False, "office", False),
+])
+def test_past_polar_position_asks_the_past_positions(lex, matcher, include_current, place,
+                                                      yes):
+    # "Was Mary in X?" says yes for the places "Where was Mary?" lists
+    t = ingest_all(matcher, make_tracker(lex, include_current_position=include_current), [
+        "Mary went to the garden.", "Mary went to the kitchen.", "John went to the office."])
+    past = [render(b) for b in answer(matcher, t, "Where was Mary?").bindings]
+    content = answer(matcher, t, f"Was Mary in the {place}?")
+    assert (f"be-in'(the {place},0)" in past) == yes
+    assert content.polarity == ("yes" if yes else "no")
+    assert content.contrast is None
+    assert content.support == ([1] if place == "garden" else [2] if yes else [])
+    assert realize_answer(RealizationRequest(content, mode="natural"), lex) \
+        == ("Yes, she was." if yes else "No, she wasn't.")
+
+
 def test_polar_no_when_elsewhere(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), [
         "John moved to the playground.", "John went back to the hallway."])

@@ -202,7 +202,7 @@ def test_pronoun_flag_equals_a_walk(lex, sentences):
     embedded = 0
     for text in sentences:
         try:
-            props = matcher.parse_utterance(text)
+            props = [matcher.parse_utterance(text)]
         except MatchError:
             continue
         while props:
