@@ -12,8 +12,13 @@ that knows it.
 `load_lexicon` parses and validates every record, selectors, retain
 indices, literal `emit=` senses and `vc=` template names included, checks
 that a sense with a frame-driven template reaches a selectional frame
-along its entails chain, and computes the derived tables (relation index,
-each `vc=` sense's template and frame, is-a closure, entails bases) once.
+along its entails chain, checks each transfer sense's `dir=`, and
+computes the derived tables (relation index, each `vc=` sense's template
+and frame, is-a closure, entails bases, inflections, position words)
+once.  The realizer's English comes from two of them: `inflect` picks a
+sense's form by tense and agreement cell or by nonfinite slot, first in
+file order, and `position_words` gives a positional predicate's
+preposition, the first form of the sense whose `pos=` names it.
 Each `sel:` part becomes a `Selector` record with one field per
 condition key.  Its `sense=`, `not-sense=` and
 `reach=` values must name senses and its `cat=` values universals.  A
@@ -36,8 +41,11 @@ from .errors import SemqaError
 CATEGORIES = ("referent", "predicate", "modifier")
 RELATION_KINDS = ("is-a", "has-a", "entails", "does-x-actor", "does-x-undergoer")
 ROLE_NAMES = ("actor", "undergoer", "destination", "source", "recipient")
-# spatial dimensionality class -> English position preposition
-DIMENSIONALITY = {"enclosure": "in", "surface": "on", "locale": "at"}
+# spatial dimensionality class -> the positional predicate it picks; the
+# one copy of this mapping, and each class a sense carries needs a position word
+DIMENSIONALITY = {"enclosure": "p:be-in", "surface": "p:be-on", "locale": "p:be-at"}
+# agreement cells a finite form may name
+AGREEMENT = frozenset({"1sg", "3sg", "plural"})
 # banned part-of-speech vocabulary; the model uses semantic universals only
 POS_TAGS = frozenset({"noun", "verb", "adjective", "adverb"})
 # keys of a phrase selector condition `key=value`, in `Selector` field order
@@ -100,11 +108,8 @@ class SelectionalFrame:
     predicate: str
     roles: tuple[FrameRole, ...]
 
-    def role(self, name: str) -> FrameRole | None:
-        for r in self.roles:
-            if r.name == name:
-                return r
-        return None
+    def role(self, name: str) -> FrameRole:
+        return next(r for r in self.roles if r.name == name)
 
 
 class Selector(NamedTuple):
@@ -160,6 +165,10 @@ class Lexicon:
         self._isa: dict[str, frozenset[str]] = {}
         # sense -> last sense of its entails chain
         self._entails_base: dict[str, str] = {}
+        # sense -> {(slot, agreement cell or None): its first form in file order}
+        self._inflections: dict[str, dict[tuple[str, str | None], str]] = {}
+        # positional predicate -> first form of the sense whose pos= names it
+        self.position_words: dict[str, str] = {}
 
     # -- lookups -------------------------------------------------------
 
@@ -216,8 +225,6 @@ class Lexicon:
         return self._entails_base.get(sense_id, sense_id)
 
     def entails_related(self, a: str, b: str) -> bool:
-        if a == b:
-            return True
         return self.entails_base(a) == self.entails_base(b)
 
     def frame_for(self, sense_id: str) -> SelectionalFrame | None:
@@ -232,17 +239,13 @@ class Lexicon:
                 return dim
         return None
 
-    def verb_forms(self, sense_id: str) -> dict[str, str]:
-        """Inflection table {base,3sg,past,past-participle,present-participle}."""
-        table: dict[str, str] = {}
-        for surface, links in self.forms.items():
-            for sid, attrs in links:
-                if sid != sense_id:
-                    continue
-                for slot in ("base", "3sg", "past", "past-participle", "present-participle"):
-                    if slot in attrs and slot not in table:
-                        table[slot] = surface
-        return table
+    def inflect(self, sense_id: str, slot: str, cell: str | None = None) -> str | None:
+        """The sense's first form, in file order, that fills `slot` (a tense,
+        or base, past-participle or present-participle) in agreement `cell`;
+        failing that the slot's first form that names no cell, then its 3sg
+        form.  None when no form of the sense fills `slot`."""
+        table = self._inflections.get(sense_id, {})
+        return table.get((slot, cell)) or table.get((slot, None)) or table.get((slot, "3sg"))
 
     # -- construction --------------------------------------------------
 
@@ -265,6 +268,11 @@ class Lexicon:
         if POS_TAGS.intersection(attrs):
             raise LexiconError(f"part-of-speech tag not allowed on form {surface!r}", line)
         self.forms.setdefault(surface, []).append((sense_id, attrs))
+        table = self._inflections.setdefault(sense_id, {})
+        cells = AGREEMENT.intersection(attrs) or (None,)
+        for slot in attrs - AGREEMENT:
+            for cell in cells:
+                table.setdefault((slot, cell), surface)
 
     def _add_relation(self, source: str, kind: str, target: str, line: int):
         if kind not in RELATION_KINDS:
@@ -293,9 +301,13 @@ class Lexicon:
                 raise LexiconError(f"consolidation {rec.id!r} has trigger {rec.trigger!r}, "
                                    "which no sense= or attr= condition names", line)
         for line, parts in references:
-            if parts[0] == "form" and parts[3] not in self.senses:
-                raise LexiconError(f"form {parts[1].lower()!r} links unknown sense "
-                                   f"{parts[3]!r}", line)
+            if parts[0] == "form":
+                if parts[3] not in self.senses:
+                    raise LexiconError(f"form {parts[1].lower()!r} links unknown sense "
+                                       f"{parts[3]!r}", line)
+                pos = self.senses[parts[3]].attr("pos")
+                if pos:
+                    self.position_words.setdefault(pos, parts[1].lower())
             if parts[0] == "rel":
                 source, kind, target = parts[1:]
                 if source not in self.senses:
@@ -320,20 +332,27 @@ class Lexicon:
                             f"frame {frame.predicate!r} role {r.name!r} references "
                             f"unknown category {r.category!r}", line)
         for sense in self.senses.values():
+            line = sense_lines[sense.id]
             dims = [d for d in DIMENSIONALITY if d in sense.attributes]
             if len(dims) > 1:
-                raise LexiconError(f"{sense.id!r} carries multiple dimensionality classes",
-                                   sense_lines[sense.id])
+                raise LexiconError(f"{sense.id!r} carries multiple dimensionality classes", line)
+            if dims and DIMENSIONALITY[dims[0]] not in self.position_words:
+                raise LexiconError(f"{sense.id!r} has dimensionality class {dims[0]}, but no "
+                                   f"sense with a form has pos={DIMENSIONALITY[dims[0]]}", line)
             vc = sense.attr("vc")
             if vc is None:
                 continue
             if vc not in TEMPLATES:
                 raise LexiconError(f"unknown template {vc!r} in vc= of {sense.id!r}; "
-                                   f"expected one of {sorted(TEMPLATES)}", sense_lines[sense.id])
+                                   f"expected one of {sorted(TEMPLATES)}", line)
+            direction = sense.attr("dir")
+            if vc == "transfer" and direction not in (None, "to", "from"):
+                raise LexiconError(f"bad transfer direction {direction!r} in dir= of "
+                                   f"{sense.id!r}; expected to or from", line)
             frame = self.frame_for(sense.id)
             if vc in FRAME_TEMPLATES and frame is None:
                 raise LexiconError(f"{sense.id!r} has vc={vc} but no selectional frame "
-                                   "along its entails chain", sense_lines[sense.id])
+                                   "along its entails chain", line)
             self.templates[sense.id] = (vc, frame)
 
     def _isa_closure(self) -> dict[str, frozenset[str]]:
@@ -359,14 +378,16 @@ class Lexicon:
         return closure
 
 
-def _parse_attrs(token: str, line: int) -> frozenset[str]:
-    token = token.strip()
-    if not (token.startswith("{") and token.endswith("}")):
-        raise LexiconError(f"expected {{attr,...}}, got {token!r}", line)
-    body = token[1:-1].strip()
-    if not body:
-        return frozenset()
-    return frozenset(filter(None, map(str.strip, body.split(","))))
+def _parse_attrs(token: str, line: int, parsed: dict[str, frozenset[str]]) -> frozenset[str]:
+    """One `{attr,...}` token; `parsed` maps each token met so far in this
+    load to its set, since most records repeat a few tokens."""
+    attrs = parsed.get(token)
+    if attrs is None:
+        body = token.strip()
+        if not (body.startswith("{") and body.endswith("}")):
+            raise LexiconError(f"expected {{attr,...}}, got {body!r}", line)
+        attrs = parsed[token] = frozenset(filter(None, map(str.strip, body[1:-1].split(","))))
+    return attrs
 
 
 def _parse_selector(spec: str, line: int) -> Selector:
@@ -476,6 +497,7 @@ def load_lexicon(source: str) -> Lexicon:
     sense_lines: dict[str, int] = {}
     references: list[tuple[int, list[str]]] = []    # checked once all senses are in
     selectors: dict[str, Selector] = {}
+    attr_sets: dict[str, frozenset[str]] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         parts = _split_record(raw, lineno)
         if not parts:
@@ -484,14 +506,14 @@ def load_lexicon(source: str) -> Lexicon:
         if kind == "sense":
             if len(parts) < 3:
                 raise LexiconError("sense record needs id and category", lineno)
-            attrs = _parse_attrs(parts[3], lineno) if len(parts) > 3 else frozenset()
+            attrs = _parse_attrs(parts[3], lineno, attr_sets) if len(parts) > 3 else frozenset()
             gloss = parts[4] if len(parts) > 4 else ""
             lex._add_sense(WordSense(parts[1], parts[2], attrs, gloss), lineno)
             sense_lines[parts[1]] = lineno
         elif kind == "form":
             if len(parts) < 4 or parts[2] != "->":
                 raise LexiconError("form record is `form <surface> -> <sense> {attrs}`", lineno)
-            attrs = _parse_attrs(parts[4], lineno) if len(parts) > 4 else frozenset()
+            attrs = _parse_attrs(parts[4], lineno, attr_sets) if len(parts) > 4 else frozenset()
             lex._add_form(parts[1], parts[3], attrs, lineno)
             references.append((lineno, parts))
         elif kind == "rel":
@@ -504,15 +526,10 @@ def load_lexicon(source: str) -> Lexicon:
                 raise LexiconError("frame record needs predicate and roles", lineno)
             roles = []
             for tok in parts[2:]:
-                required = False
-                if tok.endswith("!required"):
-                    tok, required = tok[:-9], True
-                elif tok.endswith("!"):
-                    tok, required = tok[:-1], True
-                name, sep, category = tok.partition(":")
+                name, sep, category = tok.removesuffix("!required").partition(":")
                 if not sep:
                     raise LexiconError(f"bad role spec {tok!r}", lineno)
-                roles.append(FrameRole(name, category, required))
+                roles.append(FrameRole(name, category, tok.endswith("!required")))
             if parts[1] in lex.frames:
                 raise LexiconError(f"duplicate frame for {parts[1]!r}", lineno)
             lex.frames[parts[1]] = SelectionalFrame(parts[1], tuple(roles))

@@ -8,6 +8,13 @@ The English verb-group realizer builds the auxiliary chain
 modal/tense -> perfect -> progressive -> passive -> participle from an
 operator set; a French simple-future realizer demonstrates that the same
 operators drive inflection-based languages.
+
+Every English verb and preposition written here is a form the lexicon
+lists: auxiliaries and main verbs inflect through `Lexicon.inflect` (a
+tense and an agreement cell, or a nonfinite slot), and a position phrase
+takes the form of the sense whose `pos=` names its positional predicate.
+Only the modal "will", the negative contractions, pronouns, articles and
+numerals are written here.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from .context import AnswerContent
 from .errors import SemqaError
 from .lexicon import DIMENSIONALITY, Lexicon
-from .semantics import OperatorSet, Referent, State
+from .semantics import ANY_POSITION_PRED, OperatorSet, Referent, State
 
 
 class RealizationError(SemqaError):
@@ -27,24 +34,6 @@ class RealizationError(SemqaError):
 NUMERAL_WORDS = ("zero", "one", "two", "three", "four", "five",
                  "six", "seven", "eight", "nine", "ten")
 
-BE_FORMS = {
-    ("present", "singular"): "is",
-    ("present", "plural"): "are",
-    ("past", "singular"): "was",
-    ("past", "plural"): "were",
-}
-HAVE_FORMS = {
-    ("present", "singular"): "has",
-    ("present", "plural"): "have",
-    ("past", "singular"): "had",
-    ("past", "plural"): "had",
-}
-DO_FORMS = {
-    ("present", "singular"): "does",
-    ("present", "plural"): "do",
-    ("past", "singular"): "did",
-    ("past", "plural"): "did",
-}
 NEG_CONTRACTIONS = {
     "will": "won't", "is": "isn't", "are": "aren't", "was": "wasn't",
     "were": "weren't", "has": "hasn't", "have": "haven't", "had": "hadn't",
@@ -63,39 +52,40 @@ class RealizationRequest:
     style: str = "short"           # bare | short | full (polar answers)
 
 
-def realize_position(location: Referent, lexicon: Lexicon,
-                     mode: str = "natural") -> str:
-    """Position phrase for a location: preposition from the dimensionality
-    class, e.g. kitchen -> "in the kitchen"; keyword mode emits the head."""
+def realize_position(location: Referent, lexicon: Lexicon, mode: str = "natural",
+                     pred: str = ANY_POSITION_PRED) -> str:
+    """Position phrase for a location, e.g. kitchen -> "in the kitchen".
+
+    The preposition is the form of the sense whose `pos=` names `pred`; a
+    predicate that no such sense names (the unresolved be-LOC) gives way to
+    the one the location's dimensionality class picks.  Keyword mode emits
+    the head."""
     if mode == "keyword":
         return location.head()
-    if location.sense is None:
-        raise RealizationError("cannot realize a position without a location sense")
-    dim = lexicon.dimensionality_of(location.sense)
-    if dim is None:
-        raise RealizationError(f"{location.sense!r} has no dimensionality class")
+    word = lexicon.position_words.get(pred)
+    if word is None:
+        dim = lexicon.dimensionality_of(location.sense)
+        if dim is None:
+            raise RealizationError(f"{location.sense!r} has no dimensionality class")
+        # the loader makes sure some sense's pos= names every class's predicate
+        word = lexicon.position_words[DIMENSIONALITY[dim]]
     article = "" if location.has("proper") else "the "
-    return f"{DIMENSIONALITY[dim]} {article}{location.head()}"
+    return f"{word} {article}{location.head()}"
 
 
-def _position_from_state(state: State, lexicon: Lexicon, mode: str) -> str:
-    location = state.arg1
-    if mode == "keyword":
-        return location.head()
-    pred_prep = {"p:be-in": "in", "p:be-on": "on", "p:be-at": "at"}.get(state.pred)
-    if pred_prep is None:
-        return realize_position(location, lexicon, mode)
-    article = "" if location.has("proper") else "the "
-    return f"{pred_prep} {article}{location.head()}"
+def _agreement(person: int, number: str) -> str:
+    """The lexicon's agreement cell for a subject; English second person
+    takes the plural forms."""
+    if number == "plural" or person == 2:
+        return "plural"
+    return "1sg" if person == 1 else "3sg"
 
 
-def verb_forms(lexicon: Lexicon, pred: str) -> dict[str, str]:
-    forms = lexicon.verb_forms(pred)
-    missing = [slot for slot in ("base", "3sg", "past", "past-participle",
-                                 "present-participle") if slot not in forms]
-    if missing:
-        raise RealizationError(f"{pred!r} lacks forms for {missing}")
-    return forms
+def _form(lexicon: Lexicon, verb: str, slot: str, cell: str = "3sg") -> str:
+    word = lexicon.inflect(verb, slot, cell)
+    if word is None:
+        raise RealizationError(f"{verb!r} lacks forms for the {slot} slot")
+    return word
 
 
 def realize_verb_group(ops: OperatorSet, pred: str, lexicon: Lexicon) -> str:
@@ -103,60 +93,33 @@ def realize_verb_group(ops: OperatorSet, pred: str, lexicon: Lexicon) -> str:
 
     {future, passive, perfect, progressive, negative} + speak gives
     "won't have been being spoken"; question fronting is sentence level
-    (see split_fronted_aux).
+    (see split_fronted_aux).  The first verb takes the tense and the
+    subject's agreement; each auxiliary puts the verb after it in a
+    nonfinite slot.
     """
-    forms = verb_forms(lexicon, pred)
-    agr = (ops.tense if ops.tense != "future" else "present", ops.number)
-
-    chain: list[tuple[str, str]] = []      # (kind, lemma)
-    if ops.tense == "future":
-        chain.append(("modal", "will"))
-    if ops.perfect:
-        chain.append(("perfect", "have"))
-    if ops.progressive:
-        chain.append(("progressive", "be"))
-    if ops.voice == "passive":
-        chain.append(("passive", "be"))
-    if not chain and ops.polarity == "negative":
-        chain.append(("do-support", "do"))
-    chain.append(("main", pred))
-
-    aux_tables = {"be": BE_FORMS, "have": HAVE_FORMS, "do": DO_FORMS}
-
-    def finite(lemma: str) -> str:
-        if lemma == "will":
-            return "will"
-        if lemma in aux_tables:
-            return aux_tables[lemma][agr]
-        if ops.tense == "past":
-            return forms["past"]
-        if ops.number == "singular" and ops.person == 3:
-            return forms["3sg"]
-        return forms["base"]
-
-    def nonfinite(lemma: str, after: str) -> str:
-        slot = {"modal": "base", "do-support": "base",
-                "perfect": "past-participle",
-                "progressive": "present-participle",
-                "passive": "past-participle"}[after]
-        if lemma == "be":
-            return {"base": "be", "past-participle": "been",
-                    "present-participle": "being"}[slot]
-        if lemma == "have":
-            return {"base": "have", "past-participle": "had",
-                    "present-participle": "having"}[slot]
-        return forms[slot]
-
     words = []
-    for i, (kind, lemma) in enumerate(chain):
-        if i == 0:
-            word = finite(lemma)
-            if ops.polarity == "negative":
-                word = NEG_CONTRACTIONS.get(word, word + " not")
-        else:
-            word = nonfinite(lemma, chain[i - 1][0])
-        words.append(word)
-    return " ".join(words)
+    slot = ops.tense            # the slot the next verb of the chain fills
+    if ops.tense == "future":
+        words.append("will")
+        slot = "base"
+    chain = [(aux, after) for wanted, aux, after in (
+        (ops.perfect, "p:have", "past-participle"),
+        (ops.progressive, "p:be", "present-participle"),
+        (ops.voice == "passive", "p:be", "past-participle")) if wanted]
+    if not words and not chain and ops.polarity == "negative":
+        chain.append(("p:do", "base"))
+    cell = _agreement(ops.person, ops.number)
+    for verb, after in chain + [(pred, "")]:
+        words.append(_form(lexicon, verb, slot, cell))
+        slot = after
+    group = " ".join(words)
+    return _negated(group) if ops.polarity == "negative" else group
+
+
+def _negated(group: str) -> str:
+    """A verb group with its first word negated: "will be" -> "won't be"."""
+    first, space, rest = group.partition(" ")
+    return NEG_CONTRACTIONS.get(first, first + " not") + space + rest
 
 
 def split_fronted_aux(verb_group: str) -> tuple[str, str]:
@@ -190,17 +153,17 @@ def _entity_phrase(ref: Referent, mode: str) -> str:
 
 
 def _join_natural(parts: list[str]) -> str:
-    if not parts:
-        return ""
     if len(parts) == 1:
         return parts[0]
     return ", ".join(parts[:-1]) + " and " + parts[-1]
 
 
-def _pronoun_for(ref: Referent | None) -> str:
-    if ref is None:
-        return "it"
-    if ref.kind == "bundle" or ref.has("plural"):
+def _plural(ref: Referent) -> bool:
+    return ref.kind == "bundle" or ref.has("plural")
+
+
+def _pronoun_for(ref: Referent) -> str:
+    if _plural(ref):
         return "they"
     if ref.has("female"):
         return "she"
@@ -209,19 +172,16 @@ def _pronoun_for(ref: Referent | None) -> str:
     return "it"
 
 
-def _aux_for(content: AnswerContent, echo_item_tense: bool = True) -> str:
+def _aux_for(content: AnswerContent, lexicon: Lexicon, echo_item_tense: bool = True) -> str:
     ops = content.echo or OperatorSet()
     tense = ops.tense
     # mixed tense: confirm with the stored item's tense ("Yes, he WAS there")
     if echo_item_tense and content.item_tense and content.item_tense != tense:
         tense = content.item_tense
-    number = "plural" if (content.topic is not None
-                          and (content.topic.kind == "bundle"
-                               or content.topic.has("plural"))) else "singular"
     if tense == "future":
-        return "will be" if content.aux_hint == "be" else "will"
-    table = DO_FORMS if content.aux_hint == "do" else BE_FORMS
-    return table[(tense, number)]
+        return "will " + _form(lexicon, "p:be", "base") if content.aux_hint == "be" else "will"
+    cell = "plural" if _plural(content.topic) else "3sg"
+    return _form(lexicon, f"p:{content.aux_hint}", tense, cell)
 
 
 def realize_count(n: int, mode: str) -> str:
@@ -237,10 +197,8 @@ def realize_count(n: int, mode: str) -> str:
 
 def _binding_phrase(value, lexicon: Lexicon, mode: str) -> str:
     if isinstance(value, State):
-        return _position_from_state(value, lexicon, mode)
-    if isinstance(value, Referent):
-        return _entity_phrase(value, mode)
-    raise RealizationError(f"cannot realize binding {value!r}")
+        return realize_position(value.arg1, lexicon, mode, value.pred)
+    return _entity_phrase(value, mode)
 
 
 def realize_answer(req: RealizationRequest, lexicon: Lexicon) -> str:
@@ -254,17 +212,18 @@ def realize_answer(req: RealizationRequest, lexicon: Lexicon) -> str:
             return "yes" if yes else "no"
         head = "Yes" if yes else "No"
         if not yes and content.contrast is not None and req.style != "bare":
-            return f"No, but {_entity_phrase(content.contrast, 'natural')} is."
+            be = _form(lexicon, "p:be", "present")
+            return f"No, but {_entity_phrase(content.contrast, 'natural')} {be}."
         if req.style == "bare":
             return head + "."
         pronoun = _pronoun_for(content.topic)
-        aux = _aux_for(content, echo_item_tense=yes)
+        aux = _aux_for(content, lexicon, echo_item_tense=yes)
         if req.style == "full" and content.bindings:
             place = _binding_phrase(content.bindings[0], lexicon, "natural")
             return f"{head}, {pronoun} {aux} {place}."
         if yes:
             return f"{head}, {pronoun} {aux}."
-        return f"{head}, {pronoun} {NEG_CONTRACTIONS.get(aux, aux + ' not')}."
+        return f"{head}, {pronoun} {_negated(aux)}."
 
     if content.kind == "count":
         return realize_count(len(content.bindings), mode)

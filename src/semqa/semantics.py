@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .errors import SemqaError
+from .lexicon import DIMENSIONALITY
 
-POSITION_PREDS = frozenset({"p:be-in", "p:be-on", "p:be-at"})
+POSITION_PREDS = frozenset(DIMENSIONALITY.values())
 ANY_POSITION_PRED = "p:be-LOC"
 HAVE_PRED = "p:have"
 
@@ -221,7 +222,7 @@ def position_pred_for(lexicon, location: Referent) -> str:
     if dim is None:
         raise SemanticsError(
             f"{location.sense!r} lacks a dimensionality class (lexicon gap)")
-    return {"enclosure": "p:be-in", "surface": "p:be-on", "locale": "p:be-at"}[dim]
+    return DIMENSIONALITY[dim]
 
 
 def build_active_achievement(lexicon, actor: Referent, motion_pred: str,
@@ -251,10 +252,9 @@ def build_transfer(subject: Referent, obj: Referent,
     direction "to":   subject loses, counterparty gains (give-type)
     direction "from": subject gains, counterparty loses (take/get-type)
     2-role rows pass counterparty=None with direction giving the polarity
-    of the single leaf ("to" = release, "from" = acquire).
+    of the single leaf ("to" = release, "from" = acquire).  The lexicon
+    admits no other `dir=` value.
     """
-    if direction not in ("to", "from"):
-        raise SemanticsError(f"bad transfer direction {direction!r}")
     if obj is None:
         raise SemanticsError("transfer requires an object")
     subject_leaf = have_leaf(subject, obj, positive=(direction == "from"))

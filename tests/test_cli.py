@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import semqa
@@ -42,11 +47,76 @@ def test_generate_appendix_chain(capsys):
     assert capsys.readouterr().out.strip() == "won't have been being spoken"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--person", "1", "--ops", "progressive"], "am speaking"),
+    (["--person", "1", "--ops", "perfect"], "have spoken"),
+    (["--person", "1", "--ops", "negative"], "don't speak"),
+    (["--person", "1", "--ops", "past,progressive"], "was speaking"),
+    (["--person", "2", "--ops", "progressive"], "are speaking"),
+    (["--person", "2", "--ops", "past,passive"], "were spoken"),
+    (["--ops", "question,plural"], "speak"),
+    (["--ops", "plural,perfect,negative"], "haven't spoken"),
+])
+def test_generate_agrees_with_the_subject(capsys, argv, expected):
+    assert main(["generate", "--pred", "speak", *argv]) == 0
+    assert capsys.readouterr().out.strip() == expected
+
+
+def test_generate_rejects_an_unknown_operator():
+    with pytest.raises(SystemExit, match="unknown operator 'sideways'"):
+        main(["generate", "--pred", "speak", "--ops", "future,sideways"])
+
+
+def test_module_runs_as_a_script():
+    src = Path(semqa.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "semqa.cli", "generate", "--pred", "frobnicate"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: 'p:frobnicate' lacks forms")
+
+
 def test_generate_french(capsys):
     rc = main(["generate", "--french", "--pred", "parler", "--ops", "future",
                "--person", "1"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "parlerai"
+
+
+def test_run_fixtures_needs_a_bundled_task():
+    with pytest.raises(SystemExit, match="no bundled fixture for task 2"):
+        main(["run", "--task", "2", "--fixtures"])
+
+
+def test_run_needs_data_or_fixtures():
+    with pytest.raises(SystemExit, match="need --data DIR or --fixtures"):
+        main(["run", "--task", "2"])
+
+
+def test_run_split_picks_files_and_fails_on_a_wrong_answer(tmp_path, capsys):
+    story = "1 Mary went to the kitchen.\n2 Where is Mary?\t{}\t1\n"
+    (tmp_path / "qa2_train.txt").write_text(story.format("kitchen"))
+    (tmp_path / "qa2_test.txt").write_text(story.format("garden"))
+    argv = ["run", "--task", "2", "--data", str(tmp_path), "--out", str(tmp_path / "r.csv")]
+    assert main([*argv, "--split", "test", "--verbose"]) == 1
+    out = capsys.readouterr().out
+    assert "qa2_train" not in out
+    assert "  [FAIL] story 1 line 2: Where is Mary? -> kitchen (expected garden)\n" \
+           "        produced answer not among matched items" in out
+    assert main([*argv, "--split", "train"]) == 0
+    assert "qa2_test" not in capsys.readouterr().out
+    with pytest.raises(SystemExit, match="no files match .*qa3_"):
+        main(["run", "--task", "3", "--data", str(tmp_path)])
+
+
+def test_run_verbose_names_each_answer_and_its_audit(tmp_path, capsys):
+    assert main(["run", "--task", "5", "--fixtures", "--verbose",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "  [ok] story 1 line 4: Who gave the cake to Fred? -> mary (expected Mary)\n" in out
+    assert ("  [gigo] story 2 line 14: What did Bill give to Jeff? -> football "
+            "(expected apple) [G1]\n        dataset answer comes from item #8") in out
 
 
 def test_lexicon_check_fixtures(capsys):
@@ -69,6 +139,42 @@ def test_score_command(tmp_path, capsys):
     capsys.readouterr()
     assert main(["score", str(out)]) == 0
     assert "audited 100.0%" in capsys.readouterr().out
+
+
+def test_score_rejects_a_file_that_is_not_results(tmp_path):
+    path = tmp_path / "notes.csv"
+    path.write_text("name,value\n")
+    with pytest.raises(SystemExit, match="is not a results file"):
+        main(["score", str(path)])
+
+
+def _feed(monkeypatch, lines):
+    """Answer `input` with `lines`, then with end of input."""
+    it = iter(lines)
+
+    def read(_=""):
+        try:
+            return next(it)
+        except StopIteration:
+            raise EOFError from None
+    monkeypatch.setattr("builtins.input", read)
+
+
+def test_repl_commands(monkeypatch, capsys):
+    _feed(monkeypatch, ["Mary went to the kitchen.", "", ":reset", ":trace",
+                        "Where is Mary?", ":q", "Where is Mary?"])
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("(new story)") == 1 and "(empty)" in out
+    assert out.splitlines()[-1] == "I don't know."
+    _feed(monkeypatch, ["Mary went to the kitchen."])    # end of input ends the session
+    assert main(["repl"]) == 0
+
+
+def test_repl_bare_polar_style(monkeypatch, capsys):
+    _feed(monkeypatch, ["Mary went to the kitchen.", "Is Mary in the kitchen?"])
+    assert main(["repl", "--polar-style", "bare"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "Yes."
 
 
 def test_repl_session(monkeypatch, capsys):
@@ -146,6 +252,8 @@ def test_malformed_task_file_is_named(tmp_path, capsys):
     (["--pred", "frobnicate"], "error: 'p:frobnicate' lacks forms"),
     (["--pred", "parl", "--french", "--ops", "past"],
      "error: French demo only conjugates the future, not past"),
+    (["--pred", "parl", "--french", "--ops", "future", "--person", "4"],
+     "error: no ending for person=4 number=singular"),
 ])
 def test_unrealizable_verb_group_is_an_error_not_a_traceback(capsys, argv, message):
     assert main(["generate", *argv]) == 2

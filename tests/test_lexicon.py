@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import shlex
 
 import pytest
@@ -75,6 +76,8 @@ def test_holds_category_universal_labels(lex):
 def test_holds_category_unknown_identifier(lex):
     with pytest.raises(LexiconError):
         lex.holds_category("r:nonesuch", "r:thing")
+    with pytest.raises(LexiconError, match="unknown sense 'r:nonesuch'"):
+        lex.holds_category("r:nonesuch", "referent")
 
 
 def test_qualia_expand(lex):
@@ -103,15 +106,46 @@ def test_dangling_sense_rejected():
         load_lexicon('form ghost -> p:missing {}\n')
 
 
+# senses the records below may name; they come after the record, since
+# references are checked once every record is in
+KNOWN = 'sense r:one referent {} "one"\nsense p:one predicate {} "one"\n'
+
+
 @pytest.mark.parametrize("record, message", [
     ("form ghost -> p:missing {}", "form 'ghost' links unknown sense 'p:missing'"),
     ("rel r:a is-a r:b", "relation from unknown sense 'r:a'"),
     ("frame p:x actor:r:y", "frame for unknown predicate 'p:x'"),
+    # a record of two lines fails on its second
+    ('sense r:two referent {}\nsense r:two referent {} "again"', "duplicate sense 'r:two'"),
+    ("sense r:two", "sense record needs id and category"),
+    ("sense r:two referent singular", "expected {attr,...}, got 'singular'"),
+    ("sense r:two referent {enclosure}",
+     "'r:two' has dimensionality class enclosure, but no sense with a form has pos=p:be-in"),
+    ("form x -> r:one {noun}", "part-of-speech tag not allowed on form 'x'"),
+    ('form "" -> r:one {}', "empty surface form"),
+    ("form x r:one", "form record is `form <surface> -> <sense> {attrs}`"),
+    ("rel r:one likes r:one", "unknown relation kind 'likes'"),
+    ("rel r:one is-a", "rel record is `rel <from> <kind> <to>`"),
+    ("rel r:one is-a r:missing", "relation to unknown sense 'r:missing'"),
+    ("rel p:one entails r:one", "entails target 'r:one' is not a predicate"),
+    ("frame p:one", "frame record needs predicate and roles"),
+    ("frame p:one actor", "bad role spec 'actor'"),
+    ("frame p:one actor:r:one actor:r:one", "duplicate role in frame 'p:one'"),
+    ("frame p:one agent:r:one", "unknown role name 'agent'"),
+    ("frame p:one actor:r:missing",
+     "frame 'p:one' role 'actor' references unknown category 'r:missing'"),
+    # `!required` is the one spelling of a required role
+    ("frame p:one actor:r:one!", "frame 'p:one' role 'actor' references unknown category 'r:one!'"),
+    ("frame p:one actor:r:one\nframe p:one actor:r:one", "duplicate frame for 'p:one'"),
+    ("phrase p", "phrase record needs id and kind"),
+    ("phrase p consolidation colour=red", "unknown phrase field 'colour=red'"),
+    ("phrase p consolidation sel:attr=x sel:attr=y retain=1", "phrase record needs trigger="),
 ])
 def test_dangling_reference_names_its_line(record, message):
-    with pytest.raises(LexiconError, match=f"^line 2: {message}$") as err:
-        load_lexicon(f"# a comment line\n{record}\n")
-    assert err.value.line == 2
+    line = record.count("\n") + 2
+    with pytest.raises(LexiconError, match=f"^line {line}: {re.escape(message)}$") as err:
+        load_lexicon(f"# a comment line\n{record}\n{KNOWN}")
+    assert err.value.line == line
 
 
 def test_pos_tags_rejected():
@@ -198,6 +232,9 @@ def _line_of(text: str, needle: str) -> int:
      "literal 'lit-no-longer' emits unknown sense 'm:no-longre'"),
     # the first {vc=motion} is p:go's sense record
     ("{vc=motion}", "{vc=motoin}", "unknown template 'motoin' in vc= of 'p:go'"),
+    # the first dir=to is p:give's
+    ("dir=to", "dir=sideways",
+     "bad transfer direction 'sideways' in dir= of 'p:give'; expected to or from"),
 ])
 def test_phrase_output_names_fail_at_load(good, bad, message):
     text = semqa.core_lexicon_text()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from semqa.context import AnswerContent
+from semqa.lexicon import DIMENSIONALITY
 from semqa.nlg import (
     RealizationError,
     RealizationRequest,
@@ -24,6 +25,14 @@ def test_position_prepositions_follow_dimensionality(lex):
     assert realize_position(KITCHEN, lex) == "in the kitchen"
     assert realize_position(entity("r:mat"), lex) == "on the mat"
     assert realize_position(entity("r:beach"), lex) == "at the beach"
+
+
+@pytest.mark.parametrize("dim, pred", DIMENSIONALITY.items())
+def test_position_phrase_matches_back_to_its_predicate(lex, matcher, dim, pred):
+    place = next(sid for sid, sense in lex.senses.items() if dim in sense.attributes)
+    for phrase in (realize_position(entity(place), lex),
+                   realize_position(entity(place), lex, pred=pred)):
+        assert matcher.parse_single(phrase).ls.pred == pred, phrase
 
 
 def test_position_keyword_mode_is_bare(lex):
@@ -114,6 +123,26 @@ def test_polar_plural_topic(lex):
     content = AnswerContent("polar", polarity="yes", topic=both, echo=OperatorSet())
     got = realize_answer(RealizationRequest(content, mode="natural", style="short"), lex)
     assert got == "Yes, they are."
+
+
+def test_polar_neuter_topic(lex):
+    content = AnswerContent("polar", polarity="yes", topic=entity("r:milk", "definite"),
+                            echo=OperatorSet())
+    got = realize_answer(RealizationRequest(content, mode="natural", style="short"), lex)
+    assert got == "Yes, it is."
+
+
+def test_polar_future_no_negates_the_modal(lex):
+    content = AnswerContent("polar", polarity="no", topic=DANIEL,
+                            echo=OperatorSet(tense="future"))
+    got = realize_answer(RealizationRequest(content, mode="natural", style="short"), lex)
+    assert got == "No, he won't be."
+
+
+def test_natural_bundle_binding(lex):
+    content = AnswerContent("content", bindings=[bundle(DANIEL, SANDRA)])
+    got = realize_answer(RealizationRequest(content, mode="natural"), lex)
+    assert got == "Daniel and Sandra."
 
 
 def test_count_words():

@@ -87,14 +87,17 @@ def test_intersection_soundness_sample(lex, matcher):
 
 GRID = list(product(("past", "present", "future"), (False, True), (False, True),
                     ("active", "passive"), ("positive", "negative")))
+# subject person and number: each picks an agreement cell of the lexicon's forms
+AGREEMENT = list(product((1, 2, 3), ("singular", "plural")))
 
 
 @pytest.mark.parametrize("pred", ["p:speak", "p:eat-chew", "p:give"])
 def test_verb_group_grid_round_trip(lex, matcher, pred):
     assert len(GRID) == 48
-    for tense, perfect, progressive, voice, polarity in GRID:
+    for (tense, perfect, progressive, voice, polarity), (person, number) \
+            in product(GRID, AGREEMENT):
         ops = OperatorSet(tense=tense, perfect=perfect, progressive=progressive,
-                          voice=voice, polarity=polarity)
+                          voice=voice, polarity=polarity, person=person, number=number)
         chain = realize_verb_group(ops, pred, lex)
         tokens, _ = tokenize(chain)
         elements = matcher.match_phrases(tokens)
