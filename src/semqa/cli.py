@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="realize a verb group from operators")
     p.add_argument("--pred", required=True, help="predicate (e.g. speak)")
     p.add_argument("--ops", default="", help="comma list: future,negative,...")
-    p.add_argument("--person", type=int, default=3)
+    p.add_argument("--person", type=int, choices=(1, 2, 3), default=3)
     p.add_argument("--french", action="store_true",
                    help="treat --pred as a French infinitive stem")
     p.add_argument("--lexicon")

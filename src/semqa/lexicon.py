@@ -14,11 +14,26 @@ indices, literal `emit=` senses and `vc=` template names included, checks
 that a sense with a frame-driven template reaches a selectional frame
 along its entails chain, checks each transfer sense's `dir=`, and
 computes the derived tables (relation index, each `vc=` sense's template
-and frame, is-a closure, entails bases, inflections, position words)
-once.  The realizer's English comes from two of them: `inflect` picks a
-sense's form by tense and agreement cell or by nonfinite slot, first in
-file order, and `position_words` gives a positional predicate's
-preposition, the first form of the sense whose `pos=` names it.
+and frame, is-a closure, entails bases, inflections, position words,
+token classes) once.  The realizer's English comes from two of them:
+`inflect` picks a sense's form by tense and agreement cell or by
+nonfinite slot, first in file order, and `position_words` gives a
+positional predicate's preposition, the first form of the sense whose
+`pos=` names it.
+In `token_classes` two surfaces share a class when nothing the engine
+reads can tell them apart: each links exactly one sense, a referent, and
+the two senses have the same sense attributes, link attributes and is-a
+parents, so they also have the same is-a closure.  A surface stays
+literal when a `word=` selector names it, when its sense is named by a
+`sense=`, `not-sense=` or `reach=` selector, an `emit=`, a frame
+(predicate or role category), any relation other than is-a, or the
+engine's own code (`ENGINE_SENSES`), and when some literal surface links
+its sense too.  A class of one surface is dropped: that surface stays
+literal.  Classes are numbered in file order.  The matcher keys its
+parse-by-shape table on these classes ("Mary went to the kitchen." and
+"Sandra went to the garden." share one shape); this is the
+equivalence-class compression of lexer tables (Aho, Lam, Sethi & Ullman,
+*Compilers*, 2nd ed., §3.9).
 Each `sel:` part becomes a `Selector` record with one field per
 condition key.  Its `sense=`, `not-sense=` and
 `reach=` values must name senses and its `cat=` values universals.  A
@@ -46,6 +61,9 @@ ROLE_NAMES = ("actor", "undergoer", "destination", "source", "recipient")
 DIMENSIONALITY = {"enclosure": "p:be-in", "surface": "p:be-on", "locale": "p:be-at"}
 # agreement cells a finite form may name
 AGREEMENT = frozenset({"1sg", "3sg", "plural"})
+# referent senses the engine's code names (matcher, context); a surface of
+# one never joins a token class
+ENGINE_SENSES = frozenset({"r:person", "r:thing", "q:who"})
 # banned part-of-speech vocabulary; the model uses semantic universals only
 POS_TAGS = frozenset({"noun", "verb", "adjective", "adverb"})
 # keys of a phrase selector condition `key=value`, in `Selector` field order
@@ -169,6 +187,8 @@ class Lexicon:
         self._inflections: dict[str, dict[tuple[str, str | None], str]] = {}
         # positional predicate -> first form of the sense whose pos= names it
         self.position_words: dict[str, str] = {}
+        # surface -> (its token class, its one sense); a surface absent is literal
+        self.token_classes: dict[str, tuple[int, str]] = {}
 
     # -- lookups -------------------------------------------------------
 
@@ -354,6 +374,40 @@ class Lexicon:
                 raise LexiconError(f"{sense.id!r} has vc={vc} but no selectional frame "
                                    "along its entails chain", line)
             self.templates[sense.id] = (vc, frame)
+
+    def _token_classes(self) -> dict[str, tuple[int, str]]:
+        """Surface -> (class number, its one sense), for the surfaces that
+        share a class with another; see the module docstring."""
+        named = set(ENGINE_SENSES)
+        words = set()
+        for rec in self.phrase_records:
+            named.add(rec.emit)
+            for sel in rec.selectors:
+                named.update(sel.senses, sel.not_senses, sel.reach)
+                words.add(sel.word)
+        for frame in self.frames.values():
+            named.add(frame.predicate)
+            named.update(r.category for r in frame.roles)
+        for (source, kind), targets in self._rel_index.items():
+            if kind != "is-a":
+                named.add(source)
+                named.update(targets)
+        single: dict[str, tuple[str, frozenset[str]]] = {}
+        for surface, links in self.forms.items():
+            if len(links) == 1 and surface not in words:
+                single[surface] = links[0]
+            else:   # a literal surface keeps each of its senses literal
+                named.update(s for s, _ in links)
+        members: dict[tuple, list[tuple[str, str]]] = {}    # in file order
+        for surface, (sense_id, link_attrs) in single.items():
+            sense = self.senses[sense_id]
+            if sense.category == "referent" and sense_id not in named:
+                parents = frozenset(self._rel_index.get((sense_id, "is-a"), ()))
+                members.setdefault((sense.attributes, link_attrs, parents), []).append(
+                    (surface, sense_id))
+        classes = [m for m in members.values() if len(m) > 1]
+        return {surface: (number, sense_id) for number, m in enumerate(classes)
+                for surface, sense_id in m}
 
     def _isa_closure(self) -> dict[str, frozenset[str]]:
         """Reflexive is-a closure of every sense; rejects cycles."""
@@ -542,4 +596,5 @@ def load_lexicon(source: str) -> Lexicon:
     lex._validate(phrase_lines, sense_lines, references)
     lex._isa = lex._isa_closure()
     lex._entails_base = {s: lex._entails_chain(s)[-1] for s in lex.senses}
+    lex.token_classes = lex._token_classes()
     return lex

@@ -34,8 +34,8 @@ clauses go through one clause step, which finds the clause's main verbs
 once for operator extraction and predication alike.  A consolidated
 element gets its openers when it is made, from a table keyed by the
 fields a first selector reads (surface, sense ids, universals, reach,
-attributes); an entity referent comes from a table keyed by the
-element's senses and the ops and attributes a referent keeps.
+attributes); an entity referent comes from a table keyed by its sense
+and the ops and attributes a referent keeps.
 
 Each fixpoint round fires the first consolidation, in lexicon order, at
 the lowest position where its window matches, and the next round resumes
@@ -57,15 +57,31 @@ adjacent to its verb, so after the fixpoint the first auxiliary that
 opens a chain record joins the first predicate after the subject through
 that same record, and the verb group reads as it would adjacently.
 
-A parse depends only on the text and the matcher: the lexicon is
-read-only, pronouns stay unresolved until the context ingests the
-sentence, and every result is frozen.  So each matcher caches one
-proposition per successfully parsed text (at most `PARSE_CACHE_SIZE`,
-oldest evicted first) and returns it as is; the referent and openers
-tables each start over when they reach the same size.  Each proposition
-records whether its structure holds a pronoun, so the context walks only
-those.  Failures, an empty text's among them, are not cached; they are
-raised again on every call.
+A parse depends only on the text's tokens and force hint and on the
+matcher: the lexicon is read-only, pronouns stay unresolved until the
+context ingests the sentence, and every result is frozen.  Two tables
+cache it, and failures, an empty text's among them, enter neither: they
+are raised again on every call.
+
+* The text table, in front, maps a text to its proposition and returns
+  it as is: a repeated text costs one dict lookup.
+* On a text miss the matcher tokenizes once and looks up the sentence's
+  shape: the force hint, the literal tokens, and each token of a lexicon
+  token class as (class, slot), slots numbered by the first occurrence of
+  their sense, so "Mary gave Mary …" never shares a shape with "Mary gave
+  John …".  A shape seen before is not parsed again: its cached
+  proposition is rebuilt through `map_referents` with this text's slot
+  senses swapped in (entity referents, bundle members and a count
+  question's `counted=` sense), and `source` set to this text on it and
+  on its embedded clauses.  Only a new shape is parsed cold.
+
+A class shares only surfaces the engine cannot tell apart (see the
+lexicon module), so the rebuilt proposition equals a cold parse of the
+text.  Entity referents come from one table keyed by sense and kept
+attributes, for cold parses and rebuilt ones alike.  Every table keeps at
+most `PARSE_CACHE_SIZE` entries, evicting the oldest first.  Each
+proposition records whether its structure holds a pronoun, so the context
+walks only those.
 Concurrent callers may share a matcher: the tables only ever map a key
 to an equal value, and eviction tolerates a racing caller.
 """
@@ -87,13 +103,14 @@ from .semantics import (
     build_state,
     build_transfer,
     bundle,
-    entity,
+    map_referents,
     query,
     walk_referents,
 )
 
 
-# successful parses kept per matcher; bAbI stories repeat their sentences
+# successful parses kept per matcher and table; bAbI stories repeat their
+# sentences and their sentence shapes
 PARSE_CACHE_SIZE = 4096
 
 
@@ -242,12 +259,23 @@ def _selector_matches(sel: Selector, el: Element) -> bool:
             and (not sel.any_of or all(not group.isdisjoint(attrs) for group in sel.any_of)))
 
 
-def _remember(table: dict, key, value):
-    """`table[key]`, set to `value` when absent; a table that reaches
-    `PARSE_CACHE_SIZE` entries starts over, so it stays bounded."""
-    if len(table) >= PARSE_CACHE_SIZE:
-        table.clear()
+def _keep(table: dict, key, value):
+    """`table[key]`, set to `value` when absent, once the oldest entries
+    of a table at `PARSE_CACHE_SIZE` are evicted."""
+    while len(table) >= PARSE_CACHE_SIZE:
+        try:
+            table.pop(next(iter(table), None), None)
+        except RuntimeError:
+            pass    # a racing caller resized the table mid-lookup
     return table.setdefault(key, value)
+
+
+def _recast(prop: Proposition, swap, source: str) -> Proposition:
+    """`prop` and its embedded clauses with `swap` applied to every
+    referent and `source` set to `source`."""
+    return Proposition(map_referents(prop.ls, swap), prop.operators,
+                       tuple(_recast(e, swap, source) for e in prop.embedded),
+                       source, prop.pronoun)
 
 
 def _is_pronoun(ref: Referent) -> bool:
@@ -321,9 +349,11 @@ class Matcher:
         self._forms: dict[str, Form] = {}
         # text -> its proposition, in insertion order for FIFO eviction
         self._parses: dict[str, Proposition] = {}
+        # shape -> (its first text's proposition, the sense in each slot of that text)
+        self._shapes: dict[str, tuple[Proposition, tuple[str, ...]]] = {}
         # (surface, ids, cats, reach, attributes) of a consolidated element -> its openers
         self._opened: dict[tuple, tuple[PhraseRecord, ...]] = {}
-        # (senses, kept ops and attributes) of an entity element -> its shared referent
+        # (sense, kept ops and attributes) of an entity referent -> the shared referent
         self._referents: dict[tuple, Referent] = {}
 
     # -- element construction -------------------------------------------
@@ -442,7 +472,7 @@ class Matcher:
         key = (el.surface, el.ids, el.cats, el.reach, frozenset(el.attributes))
         openers = self._opened.get(key)
         if openers is None:
-            openers = _remember(self._opened, key, self._openers(el))
+            openers = _keep(self._opened, key, self._openers(el))
         return openers
 
     def match_phrases(self, tokens: list[str]) -> list[Element]:
@@ -550,12 +580,15 @@ class Matcher:
                 attrs.add(f"counted={counted}")
             return query(focus or "what", *attrs)
         kept = _KEPT_OPS.intersection(el.ops) | _KEPT_ATTRIBUTES.intersection(el.attributes)
-        key = (el.senses, kept)
+        sense = next(s for s, _ in el.senses if self.lexicon.sense(s).category == "referent")
+        return self._entity(sense, kept)
+
+    def _entity(self, sense: str, kept: frozenset[str]) -> Referent:
+        """The matcher's one entity referent of `sense` with `kept`."""
+        key = (sense, kept)
         ref = self._referents.get(key)
         if ref is None:
-            sense = next(s for s, _ in el.senses
-                         if self.lexicon.sense(s).category == "referent")
-            ref = _remember(self._referents, key, entity(sense, *kept))
+            ref = _keep(self._referents, key, Referent("entity", sense, attributes=kept))
         return ref
 
     def _fits(self, ref: Referent, category: str) -> bool:
@@ -873,21 +906,65 @@ class Matcher:
 
     def parse_utterance(self, text: str) -> Proposition:
         """Full pipeline: the text's one proposition.  A repeated text is
-        answered from the parse cache with the same frozen proposition."""
+        answered from the text table with the same frozen proposition."""
         prop = self._parses.get(text)
         if prop is None:
-            prop = self._parse(text)
-            cache = self._parses
-            while len(cache) >= PARSE_CACHE_SIZE:
-                try:
-                    cache.pop(next(iter(cache), None), None)
-                except RuntimeError:
-                    pass    # a racing caller resized the cache mid-lookup
-            cache[text] = prop
+            prop = _keep(self._parses, text, self._parse(text))
         return prop
 
     def _parse(self, text: str) -> Proposition:
+        """A text not in the text table: its shape's cached proposition
+        with this text's senses swapped in, or else a cold parse."""
         tokens, hint = tokenize(text)
+        shape, fills = self._shape(tokens, hint)
+        hit = self._shapes.get(shape)
+        if hit is not None:
+            prop, was = hit
+            senses = {old: new for old, new in zip(was, fills) if old != new}
+            return _recast(prop, lambda ref: self._swapped(ref, senses), text)
+        prop = self._parse_tokens(text, tokens, hint)
+        _keep(self._shapes, shape, (prop, fills))
+        return prop
+
+    def _shape(self, tokens: list[str], hint: str) -> tuple[str, tuple[str, ...]]:
+        """The shape key of a token sequence, and the sense that fills each
+        slot, slots numbered by first occurrence.  The key is the hint and
+        the tokens joined by spaces, a token of a token class written as
+        its class and slot after a newline; a token holds no whitespace,
+        so two token sequences share a key only when they share a shape.
+        One string per key keeps the table small."""
+        classes = self.lexicon.token_classes
+        fills: list[str] = []
+        parts = [hint]
+        for token in tokens:
+            cls = classes.get(token)
+            if cls is None:
+                parts.append(token)
+            else:
+                number, sense = cls
+                if sense not in fills:
+                    fills.append(sense)
+                parts.append(f"\n{number}.{fills.index(sense)}")
+        return " ".join(parts), tuple(fills)
+
+    def _swapped(self, ref: Referent, senses: dict[str, str]) -> Referent:
+        """`ref` with each sense that `senses` maps replaced: an entity's,
+        a bundle member's, or the `counted=` sense of a count question.
+        A shape hit rebuilds its cached proposition through this."""
+        if ref.kind == "entity":
+            sense = senses.get(ref.sense)
+            return ref if sense is None else self._entity(sense, ref.attributes)
+        if ref.kind == "bundle":
+            members = tuple(self._swapped(m, senses) for m in ref.members)
+            return ref if members == ref.members else bundle(*members)
+        counted = attr_value(ref.attributes, "counted")
+        if counted in senses:
+            return replace(ref, attributes=ref.attributes - {f"counted={counted}"}
+                           | {f"counted={senses[counted]}"})
+        return ref
+
+    def _parse_tokens(self, text: str, tokens: list[str], hint: str) -> Proposition:
+        """A cold parse of `text`, already tokenized."""
         if not tokens:
             raise MeaninglessError(f"nothing to match in {text!r}")
         elements = self.match_phrases(tokens)

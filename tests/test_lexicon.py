@@ -3,11 +3,12 @@ from __future__ import annotations
 import random
 import re
 import shlex
+from pathlib import Path
 
 import pytest
 
 import semqa
-from semqa.lexicon import LexiconError, _split_record, load_lexicon
+from semqa.lexicon import ENGINE_SENSES, LexiconError, _split_record, load_lexicon
 
 MINI = """
 sense r:thing referent {} "object"
@@ -342,3 +343,90 @@ def test_stray_quote_fails_with_its_line(record, message):
 def test_comment_after_a_record_is_ignored():
     lex = load_lexicon('sense r:x referent {} "it\'s # not a comment" # a comment\n')
     assert lex.sense("r:x").gloss == "it's # not a comment"
+
+
+# -- token classes ----------------------------------------------------------------
+
+# two female names; each row adds `zoe` (and at times `max` or `zed`)
+CLASS_BASE = """
+sense r:person referent {} "human"
+sense r:place referent {} "place"
+sense r:hat referent {} "hat"
+sense r:ann referent {proper,female,singular} "name"
+sense r:eve referent {proper,female,singular} "name"
+rel r:ann is-a r:person
+rel r:eve is-a r:person
+form ann -> r:ann {singular}
+form eve -> r:eve {singular}
+"""
+ZOE = """
+sense r:zoe referent {proper,female,singular} "name"
+form zoe -> r:zoe {singular}
+rel r:zoe is-a r:person
+"""
+FEMALES = ["ann", "eve", "zoe"]
+
+
+def _with_max(attrs: str, link: str, parent: str) -> str:
+    return (f'sense r:max referent {{{attrs}}} "name"\nform max -> r:max {{{link}}}\n'
+            f"rel r:max is-a {parent}\n")
+
+
+@pytest.mark.parametrize("records, shared", [
+    (ZOE, FEMALES),
+    # a selector, an emit=, a frame or a relation other than is-a names it
+    (ZOE + "phrase dear literal trigger=dear sel:word=dear sel:word=zoe emit=r:person", []),
+    (ZOE + "phrase c consolidation trigger=r:zoe sel:sense=r:zoe sel:cat=referent retain=1", []),
+    (ZOE + "phrase c consolidation trigger=proper sel:attr=proper&not-sense=r:zoe "
+           "sel:cat=referent retain=1", []),
+    (ZOE + "phrase c consolidation trigger=proper sel:attr=proper sel:reach=r:zoe retain=1",
+     []),
+    (ZOE + "phrase dear literal trigger=dear sel:word=dear sel:word=one emit=r:zoe", []),
+    (ZOE + 'sense p:see predicate {vc=activity} "see"\n'
+           "frame p:see actor:r:person!required undergoer:r:zoe", []),
+    (ZOE + "rel r:zoe has-a r:hat", []),
+    (ZOE + "rel r:hat has-a r:zoe", []),
+    # the engine's code names its sense
+    ('sense r:thing referent {proper,female,singular} "name"\n'
+     "form zoe -> r:thing {singular}\nrel r:thing is-a r:person", []),
+    # a second sense, or a literal surface of the same sense
+    (ZOE + "form zoe -> r:hat {singular}", []),
+    (ZOE + "form zed -> r:zoe {singular}\n"
+           "phrase dear literal trigger=zed sel:word=zed sel:word=one emit=r:person", []),
+    (ZOE + "form zed -> r:zoe {singular}", ["ann", "eve", "zed", "zoe"]),
+    # single-sense surfaces that differ only in gender, link attributes or is-a parent
+    (ZOE.replace("female", "male") + _with_max("proper,male,singular", "singular", "r:person"),
+     ["max", "zoe"]),
+    (ZOE.replace("{singular}", "{plural}")
+     + _with_max("proper,female,singular", "plural", "r:person"), ["max", "zoe"]),
+    (ZOE.replace("is-a r:person", "is-a r:place")
+     + _with_max("proper,female,singular", "singular", "r:place"), ["max", "zoe"]),
+    # a class of one surface, and surfaces that are no referents
+    (ZOE.replace("is-a r:person", "is-a r:place"), []),
+    ('sense m:zoe modifier {quality} "x"\nform zoe -> m:zoe {}\n'
+     'sense m:max modifier {quality} "x"\nform max -> m:max {}', []),
+])
+def test_token_class_rule(records, shared):
+    lex = load_lexicon(CLASS_BASE + records)
+    cls = lex.token_classes.get("zoe")
+    assert sorted(surface for surface, (number, _) in lex.token_classes.items()
+                  if cls and number == cls[0]) == shared
+
+
+def test_core_token_classes(lex):
+    classes = lex.token_classes
+    assert classes["mary"][0] == classes["sandra"][0] != classes["john"][0] == classes["daniel"][0]
+    assert classes["kitchen"][0] == classes["garden"][0]
+    assert classes["kitchen"] == (classes["kitchen"][0], "r:kitchen")
+    for literal in ("objects", "car", "engine", "book", "who", "she", "mat"):
+        assert literal not in classes
+    # numbered in file order
+    assert [classes[s][0] for s in ("mary", "john", "kitchen")] == [0, 1, 4]
+
+
+def test_engine_senses_are_the_referents_the_code_names(lex):
+    code = "".join(path.read_text("utf-8")
+                   for path in Path(semqa.__file__).parent.glob("*.py"))
+    named = set(re.findall(r'"(\w+:[\w-]+)"', code))
+    assert {s for s in named if s in lex.senses and lex.sense(s).category == "referent"} \
+        == ENGINE_SENSES

@@ -418,9 +418,11 @@ def test_unknown_word_raises_on_every_call(lex):
 def test_parse_cache_is_bounded(lex, monkeypatch):
     monkeypatch.setattr(matcher_module, "PARSE_CACHE_SIZE", 3)
     m = Matcher(lex)
-    texts = [f"Mary went to the {place}." for place in
-             ("kitchen", "garden", "office", "hallway", "bedroom")]
-    tables = ("_opened", "_referents")
+    # five texts of five shapes
+    texts = ["Mary went to the kitchen.", "Mary moved to the garden.",
+             "Mary travelled to the office.", "Mary journeyed to the hallway.",
+             "Mary went back to the bedroom."]
+    tables = ("_shapes", "_opened", "_referents")
     used = set()
     for text in texts + texts[:2]:
         m.parse_utterance(text)
@@ -430,8 +432,9 @@ def test_parse_cache_is_bounded(lex, monkeypatch):
             if getattr(m, name):
                 used.add(name)
     assert used == set(tables)
-    # oldest evicted first
+    # oldest evicted first, from the text and the shape table alike
     assert list(m._parses) == [texts[4], texts[0], texts[1]]
+    assert [prop.source for prop, _ in m._shapes.values()] == [texts[4], texts[0], texts[1]]
 
 
 def _outcomes(m, texts):

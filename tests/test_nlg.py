@@ -82,6 +82,12 @@ def test_french_rejects_other_tenses():
         realize_verb_group_fr(OperatorSet(tense="past"), "parler")
 
 
+def test_french_rejects_a_person_without_an_ending():
+    # `semqa generate --person` admits 1-3 only; the realizer checks its own input
+    with pytest.raises(RealizationError, match="no ending for person=4 number=singular"):
+        realize_verb_group_fr(OperatorSet(tense="future", person=4), "parler")
+
+
 def test_polar_short_uses_pronoun(lex):
     content = AnswerContent("polar", polarity="yes", topic=DANIEL,
                             echo=OperatorSet())
