@@ -29,6 +29,7 @@ from .lexicon import Lexicon
 from .matcher import Proposition
 from .semantics import (
     ANY_POSITION_PRED,
+    HAVE_PRED,
     POSITION_PREDS,
     Activity,
     Linked,
@@ -131,7 +132,7 @@ def _collect_have_events(term, index: int, causer, counterparty: bool,
             leaf, positive = term.inner, True
             if isinstance(leaf, Wrapped) and leaf.op == "NOT":
                 leaf, positive = leaf.inner, False
-            if isinstance(leaf, State) and leaf.pred == "p:have":
+            if isinstance(leaf, State) and leaf.pred == HAVE_PRED:
                 out.append(HaveEvent(leaf.arg1, leaf.arg2, positive, causer,
                                      counterparty, index))
         elif term.op in ("INGR", "NOT"):
@@ -309,14 +310,13 @@ class ContextTracker:
 
         if focus == "where":
             return self._answer_where(ls, ops)
-        if focus == "how-many":
-            return self._answer_count(ls, ops)
+        if focus == "how-many" or (focus == "what" and isinstance(ls, State)
+                                   and ls.pred == HAVE_PRED):
+            return self._answer_held(ls, ops, "count" if focus == "how-many" else "list")
         if not queries:
             return self._answer_polar(ls, ops)
         if focus == "who" and isinstance(ls, State) and ls.pred in _POSITION_PREDS:
             return self._answer_who_position(ls, ops)
-        if focus == "what" and isinstance(ls, State) and ls.pred == "p:have":
-            return self._answer_holding_list(ls, ops)
         if have_events(ls):
             return self._answer_transfer(ls, ops, focus)
         raise UnsupportedQuestionError(
@@ -368,7 +368,7 @@ class ContextTracker:
                 bindings=[_position_value(cur.state)] if yes else [],
                 echo=ops, topic=entity, contrast=contrast, support=support,
                 item_tense=cur.tense if cur else None)
-        if isinstance(ls, State) and ls.pred == "p:have":
+        if isinstance(ls, State) and ls.pred == HAVE_PRED:
             held = {obj.sense for obj, _ in self.held_now(ls.arg1)}
             yes = ls.arg2.sense in held
             return AnswerContent("polar", polarity="yes" if yes else "no",
@@ -397,25 +397,19 @@ class ContextTracker:
                 support.append(cur.index)
         return AnswerContent("content", bindings=bindings, echo=ops, support=support)
 
-    def _answer_count(self, ls: State, ops: OperatorSet) -> AnswerContent:
-        holder = ls.arg1
-        counted = None
-        for q in walk_referents(ls):
-            if q.is_query:
-                for a in q.attributes:
-                    if a.startswith("counted="):
-                        counted = a.split("=", 1)[1]
+    def _answer_held(self, ls, ops: OperatorSet, kind: str) -> AnswerContent:
+        """The objects a named holder holds now: all of them for a "list",
+        those of the question slot's counted sense, if it has one, for a
+        "count".  A question slot in the holder's place is not answered."""
+        if not (isinstance(ls, State) and ls.pred == HAVE_PRED) or ls.arg1.is_query:
+            raise UnsupportedQuestionError(
+                f"no holder to list the objects of in {render(ls, self.lexicon)}")
+        holder, counted = ls.arg1, ls.arg2.sense
         rows = self.held_now(holder)
         if counted:
             rows = [(obj, i) for obj, i in rows
                     if obj.sense and self.lexicon.holds_category(obj.sense, counted)]
-        return AnswerContent("count", bindings=[obj for obj, _ in rows],
-                             echo=ops, topic=holder, support=[i for _, i in rows])
-
-    def _answer_holding_list(self, ls: State, ops: OperatorSet) -> AnswerContent:
-        holder = ls.arg1
-        rows = self.held_now(holder)
-        return AnswerContent("list", bindings=[obj for obj, _ in rows],
+        return AnswerContent(kind, bindings=[obj for obj, _ in rows],
                              echo=ops, topic=holder, support=[i for _, i in rows])
 
     def _receive_events(self, ls):

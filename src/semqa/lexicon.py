@@ -11,8 +11,8 @@ that knows it.
 
 `load_lexicon` parses and validates every record, selectors, retain
 indices, literal `emit=` senses and `vc=` template names included, checks
-that a sense with a frame-driven template reaches a selectional frame
-along its entails chain, checks each transfer sense's `dir=`, and
+that a sense of every template but `be-state` reaches a selectional
+frame along its entails chain, checks each transfer sense's `dir=`, and
 computes the derived tables (relation index, each `vc=` sense's template
 and frame, is-a closure, entails bases, inflections, position words,
 token classes) once.  The realizer's English comes from two of them:
@@ -63,16 +63,15 @@ DIMENSIONALITY = {"enclosure": "p:be-in", "surface": "p:be-on", "locale": "p:be-
 AGREEMENT = frozenset({"1sg", "3sg", "plural"})
 # referent senses the engine's code names (matcher, context); a surface of
 # one never joins a token class
-ENGINE_SENSES = frozenset({"r:person", "r:thing", "q:who"})
+ENGINE_SENSES = frozenset({"r:person", "q:who"})
 # banned part-of-speech vocabulary; the model uses semantic universals only
 POS_TAGS = frozenset({"noun", "verb", "adjective", "adverb"})
 # keys of a phrase selector condition `key=value`, in `Selector` field order
 SELECTOR_KEYS = ("word", "sense", "not-sense", "cat", "reach", "attr", "not-attr", "any")
 # `vc=` template names; the matcher builds one logical structure per name
-TEMPLATES = frozenset({"be-state", "have-state", "motion", "transfer", "acquire",
-                       "release", "activity"})
+TEMPLATES = frozenset({"be-state", "have-state", "motion", "transfer", "activity"})
 # templates whose roles are linked through the predicate's selectional frame
-FRAME_TEMPLATES = TEMPLATES - {"be-state", "have-state"}
+FRAME_TEMPLATES = TEMPLATES - {"be-state"}
 
 
 class LexiconError(SemqaError):

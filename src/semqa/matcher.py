@@ -7,7 +7,9 @@ Predication then converts the consolidated clause into one disambiguated
 logical structure: each candidate sense of the main predicate is cast
 through the template its `vc=` attribute names, enforcing the
 completeness constraint and selecting word senses by selectional fit
-(with a qualia retry for associations like car has-a engine).  A clause
+(with a qualia retry for associations like car has-a engine).  Every
+template but `be-state` links its roles through one path that reads the
+sense's selectional frame.  A clause
 yields exactly one proposition; when no reading survives, or more than
 one distinct reading does, the sentence fails.
 
@@ -71,9 +73,9 @@ are raised again on every call.
   their sense, so "Mary gave Mary …" never shares a shape with "Mary gave
   John …".  A shape seen before is not parsed again: its cached
   proposition is rebuilt through `map_referents` with this text's slot
-  senses swapped in (entity referents, bundle members and a count
-  question's `counted=` sense), and `source` set to this text on it and
-  on its embedded clauses.  Only a new shape is parsed cold.
+  senses swapped in (entity referents, bundle members and the counted
+  sense a count question's slot carries), and `source` set to this text
+  on it and on its embedded clauses.  Only a new shape is parsed cold.
 
 A class shares only surfaces the engine cannot tell apart (see the
 lexicon module), so the rebuilt proposition equals a cold parse of the
@@ -93,12 +95,11 @@ from dataclasses import dataclass, field, replace
 from .errors import SemqaError
 from .lexicon import Lexicon, PhraseRecord, Selector, attr_value
 from .semantics import (
+    HAVE_PRED,
     Activity,
     OperatorSet,
     Referent,
-    State,
     UNSPECIFIED,
-    Wrapped,
     build_active_achievement,
     build_state,
     build_transfer,
@@ -575,10 +576,7 @@ class Matcher:
                     for s, _ in c.senses:
                         if self.lexicon.sense(s).category == "referent":
                             counted = s
-            attrs = {"query"}
-            if counted:
-                attrs.add(f"counted={counted}")
-            return query(focus or "what", *attrs)
+            return query(focus or "what", counted)
         kept = _KEPT_OPS.intersection(el.ops) | _KEPT_ATTRIBUTES.intersection(el.attributes)
         sense = next(s for s, _ in el.senses if self.lexicon.sense(s).category == "referent")
         return self._entity(sense, kept)
@@ -686,26 +684,8 @@ class Matcher:
                 raise MeaninglessError("copula clause has no position to predicate")
             return ls, roles, consumed
 
-        if template == "have-state":
-            holder = None
-            for el in pre_refs + post_refs:
-                if not el.is_query():
-                    holder = el
-                    break
-            if holder is None:
-                raise CompletenessError("no holder referent")
-            consume("actor", holder)
-            pool = [el for el in pre_refs + post_refs if id(el) not in consumed]
-            if not pool:
-                raise CompletenessError("have state needs an object")
-            consume("undergoer", pool[0])
-            if not self._fits(roles["undergoer"], "r:thing"):
-                raise MeaninglessError("object does not fit possession")
-            ls = build_state(lex, "p:have", roles["actor"], roles["undergoer"])
-            return ls, roles, consumed
-
-        # frame-driven linking for motion / transfer / acquire / release / activity;
-        # the loader guarantees these senses a frame
+        # frame-driven linking for every other template; the loader
+        # guarantees these senses a frame
         open_roles = [r.name for r in frame.roles]
 
         if ops.voice == "passive":
@@ -743,8 +723,8 @@ class Matcher:
                 and "undergoer" in open_roles and len(pool) >= 2):
             # double-object order: "gave Mary the milk"
             first, second = pool[0], pool[1]
-            if (self._fits(self._referent_of(first), "r:person")
-                    and self._fits(self._referent_of(second), "r:thing")):
+            if (self._fits(self._referent_of(first), frame.role("recipient").category)
+                    and self._fits(self._referent_of(second), frame.role("undergoer").category)):
                 consume("recipient", first)
                 consume("undergoer", second)
                 open_roles.remove("recipient")
@@ -794,11 +774,8 @@ class Matcher:
                 counterparty = roles.get("recipient") or roles.get("source")
                 ls = build_transfer(roles["actor"], roles.get("undergoer"),
                                     counterparty, causative, direction)
-        elif template == "acquire":
-            ls = Wrapped("BECOME", State("p:have", roles["actor"], roles["undergoer"]))
-        elif template == "release":
-            ls = Wrapped("BECOME", Wrapped("NOT", State("p:have", roles["actor"],
-                                                        roles["undergoer"])))
+        elif template == "have-state":
+            ls = build_state(lex, HAVE_PRED, roles["actor"], roles["undergoer"])
         else:   # "activity", the last of the names the loader admits
             ls = Activity(roles["actor"], sense_id, roles.get("undergoer"))
         return ls, roles, consumed
@@ -949,19 +926,16 @@ class Matcher:
 
     def _swapped(self, ref: Referent, senses: dict[str, str]) -> Referent:
         """`ref` with each sense that `senses` maps replaced: an entity's,
-        a bundle member's, or the `counted=` sense of a count question.
+        a bundle member's, or the counted sense of a count question's slot.
         A shape hit rebuilds its cached proposition through this."""
-        if ref.kind == "entity":
-            sense = senses.get(ref.sense)
-            return ref if sense is None else self._entity(sense, ref.attributes)
         if ref.kind == "bundle":
             members = tuple(self._swapped(m, senses) for m in ref.members)
             return ref if members == ref.members else bundle(*members)
-        counted = attr_value(ref.attributes, "counted")
-        if counted in senses:
-            return replace(ref, attributes=ref.attributes - {f"counted={counted}"}
-                           | {f"counted={senses[counted]}"})
-        return ref
+        sense = senses.get(ref.sense)
+        if sense is None:
+            return ref
+        return self._entity(sense, ref.attributes) if ref.kind == "entity" \
+            else replace(ref, sense=sense)
 
     def _parse_tokens(self, text: str, tokens: list[str], hint: str) -> Proposition:
         """A cold parse of `text`, already tokenized."""

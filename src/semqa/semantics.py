@@ -62,7 +62,7 @@ class Referent:
     """Argument filler: entity, bundle, question slot, or unspecified."""
 
     kind: str = "entity"               # entity | bundle | query | unspecified
-    sense: Optional[str] = None
+    sense: Optional[str] = None        # an entity's; a count question slot's counted sense
     members: tuple["Referent", ...] = ()
     focus: Optional[str] = None        # who | what | where | how-many
     attributes: frozenset[str] = frozenset()
@@ -109,8 +109,9 @@ def bundle(*members: Referent) -> Referent:
                     attributes=frozenset({"plural"}))
 
 
-def query(focus: str, *attrs: str) -> Referent:
-    return Referent(kind="query", focus=focus, attributes=frozenset(attrs))
+def query(focus: str, sense: str | None = None) -> Referent:
+    """A question slot; a count question's slot carries its counted sense."""
+    return Referent(kind="query", sense=sense, focus=focus)
 
 
 # -- term variants ------------------------------------------------------
@@ -251,9 +252,10 @@ def build_transfer(subject: Referent, obj: Referent,
 
     direction "to":   subject loses, counterparty gains (give-type)
     direction "from": subject gains, counterparty loses (take/get-type)
-    2-role rows pass counterparty=None with direction giving the polarity
-    of the single leaf ("to" = release, "from" = acquire).  The lexicon
-    admits no other `dir=` value.
+    A sense whose frame names no counterparty (pick up, drop) passes
+    counterparty=None; unless causative, its one leaf is BECOME have'
+    ("from") or BECOME NOT have' ("to").  The lexicon admits no other
+    `dir=` value.
     """
     if obj is None:
         raise SemanticsError("transfer requires an object")
@@ -287,19 +289,16 @@ def referent_matches(q: Referent, item: Referent) -> bool:
         if item.kind == "bundle":
             return any(q.sense == m.sense for m in item.members)
         return False
-    if q.kind == "bundle":
-        if item.kind != "bundle":
-            return False
-        return {m.sense for m in q.members} == {m.sense for m in item.members}
-    return False
+    if item.kind != "bundle":    # q is a bundle
+        return False
+    return {m.sense for m in q.members} == {m.sense for m in item.members}
 
 
 def _preds_compatible(lexicon, qpred: str, ipred: str) -> bool:
     if qpred == ipred:
         return True
+    # a question's unresolved position matches any stored one
     if qpred == ANY_POSITION_PRED and ipred in POSITION_PREDS:
-        return True
-    if ipred == ANY_POSITION_PRED and qpred in POSITION_PREDS:
         return True
     return lexicon is not None and lexicon.entails_related(qpred, ipred)
 
@@ -307,9 +306,7 @@ def _preds_compatible(lexicon, qpred: str, ipred: str) -> bool:
 def _bind(bindings: dict, focus: str, value) -> bool:
     if focus in bindings:
         prev = bindings[focus]
-        if isinstance(prev, Referent) and isinstance(value, Referent):
-            return referent_matches(prev, value) and referent_matches(value, prev)
-        return prev == value
+        return referent_matches(prev, value) and referent_matches(value, prev)
     bindings[focus] = value
     return True
 
@@ -439,9 +436,7 @@ def map_referents(term: Arg, fn) -> Arg:
     if isinstance(term, Wrapped):
         inner = map_referents(term.inner, fn)
         return term if inner is term.inner else Wrapped(term.op, inner)
-    if isinstance(term, Linked):
-        left, right = map_referents(term.left, fn), map_referents(term.right, fn)
-        if left is term.left and right is term.right:
-            return term
-        return Linked(left, term.link, right)
-    return term
+    left, right = map_referents(term.left, fn), map_referents(term.right, fn)   # Linked
+    if left is term.left and right is term.right:
+        return term
+    return Linked(left, term.link, right)

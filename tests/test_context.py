@@ -16,7 +16,7 @@ from semqa.context import (
 )
 from semqa.matcher import Proposition
 from semqa.nlg import RealizationRequest, realize_answer
-from semqa.semantics import bundle, entity, render, walk_referents
+from semqa.semantics import SemanticsError, bundle, entity, render, walk_referents
 
 MARY = entity("r:mary", "proper", "female", "singular")
 DANIEL = entity("r:daniel", "proper", "male", "singular")
@@ -427,6 +427,44 @@ def test_handover_answers(lex, matcher, question, keyword, support):
     content = answer(matcher, t, question)
     assert realize_answer(RealizationRequest(content, mode="keyword"), lex) == keyword
     assert content.support == support
+
+
+PASSIVE_GIVE = ["The milk was given to Mary."]   # the giver is left unspecified
+
+
+@pytest.mark.parametrize("story, question, expected", [
+    # have-state questions with a question word as the holder are parsed, not answered
+    ([], "Who has the milk?", UnsupportedQuestionError),
+    (HANDOVER, "What has the milk?", UnsupportedQuestionError),
+    (HANDOVER, "How many objects did Mary pick up?", UnsupportedQuestionError),
+    (HANDOVER, "How many objects is John carrying?", "one"),
+    (HANDOVER, "Where did Mary give the milk?", UnsupportedQuestionError),
+    (["Mary went to the kitchen and the garden."], "Where is Mary?", SemanticsError),
+    (["Bill took the football."], "Who took the football?", "bill"),
+    (PASSIVE_GIVE, "What is Mary holding?", "milk"),
+    (PASSIVE_GIVE + ["She went to the kitchen."], "Where is Mary?", "kitchen"),
+    (["Mary has gone to the kitchen."], "Where is Mary?", "kitchen"),
+    (["Mary and John went to the kitchen."], "Where were Mary and John?", "kitchen"),
+    (["On the beach.", "Mary went to the kitchen."], "Where is Mary?", "kitchen"),
+    # polar questions that fall back to unification with every stored item
+    (["Mary went to the mat."], "Did Mary go to the kitchen?", "no"),
+    (["Bill gave the milk to Jeff.", "Jeff read the book."], "Did Jeff eat the apple?", "no"),
+    (["Jeff ate the cake."], "Did Jeff eat the apple?", "no"),
+    (["Jeff read."], "Did Jeff read the book?", "no"),
+    (["Bill gave the milk to Jeff.", "Jeff ate the apple."], "Did Jeff eat the apple?", "yes"),
+])
+def test_story_answer_or_typed_error(lex, matcher, story, question, expected):
+    def keyword_answer():
+        t = ingest_all(matcher, make_tracker(lex), story)
+        assert len(t.trace().splitlines()) == len(t.items)
+        return realize_answer(RealizationRequest(answer(matcher, t, question),
+                                                 mode="keyword"), lex)
+
+    if isinstance(expected, str):
+        assert keyword_answer() == expected
+    else:
+        with pytest.raises(expected):
+            keyword_answer()
 
 
 def test_strict_receive_denies_a_self_acquisition_on_a_polar_question(lex, matcher):

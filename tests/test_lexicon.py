@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 import semqa
-from semqa.lexicon import ENGINE_SENSES, LexiconError, _split_record, load_lexicon
+from semqa.lexicon import (
+    ENGINE_SENSES,
+    TEMPLATES,
+    LexiconError,
+    _split_record,
+    load_lexicon,
+)
 
 MINI = """
 sense r:thing referent {} "object"
@@ -236,6 +242,10 @@ def _line_of(text: str, needle: str) -> int:
     # the first dir=to is p:give's
     ("dir=to", "dir=sideways",
      "bad transfer direction 'sideways' in dir= of 'p:give'; expected to or from"),
+    # acquire and release are transfer rows, no templates of their own
+    ("{vc=transfer,dir=from,wants-up}", "{vc=acquire,wants-up}",
+     "unknown template 'acquire' in vc= of 'p:pick-up'"),
+    ("{vc=transfer,dir=to}", "{vc=release}", "unknown template 'release' in vc= of 'p:drop'"),
 ])
 def test_phrase_output_names_fail_at_load(good, bad, message):
     text = semqa.core_lexicon_text()
@@ -322,6 +332,10 @@ def test_templates_are_compiled_at_load(lex):
     assert tiny.templates == {"p:be": ("be-state", None)}
 
 
+def test_every_template_is_used_by_the_core_lexicon(lex):
+    assert {lex.sense(sid).attr("vc") for sid in lex.templates} == TEMPLATES
+
+
 def test_record_lines_split_as_shell_words():
     lines = [line for line in semqa.core_lexicon_text().splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
@@ -387,8 +401,8 @@ def _with_max(attrs: str, link: str, parent: str) -> str:
     (ZOE + "rel r:zoe has-a r:hat", []),
     (ZOE + "rel r:hat has-a r:zoe", []),
     # the engine's code names its sense
-    ('sense r:thing referent {proper,female,singular} "name"\n'
-     "form zoe -> r:thing {singular}\nrel r:thing is-a r:person", []),
+    ('sense q:who referent {proper,female,singular} "name"\n'
+     "form zoe -> q:who {singular}\nrel q:who is-a r:person", []),
     # a second sense, or a literal surface of the same sense
     (ZOE + "form zoe -> r:hat {singular}", []),
     (ZOE + "form zed -> r:zoe {singular}\n"

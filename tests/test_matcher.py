@@ -184,13 +184,17 @@ def test_a_second_sense_that_adds_no_reading(matcher, records, text):
     assert _with_records(records).parse_single(text) == parse(matcher, text)
 
 
-@pytest.mark.parametrize("text, error", [
+@pytest.mark.parametrize("text, outcome", [
     ("Mary going to the kitchen.", OperatorChainError),
     ("Is in the kitchen?", MeaninglessError),
     ("Mary is.", MeaninglessError),
     ("Mary has.", MeaninglessError),
     ("Who has?", MeaninglessError),
     ("Mary has the kitchen.", MeaninglessError),
+    ("Who has the kitchen?", MeaninglessError),
+    # have links its roles through its frame: the question word is the holder
+    ("Who has the milk?", "have'(Who,the milk)"),
+    ("The milk is held by Mary.", "have'(mary,the milk)"),
     ("Mary picked the milk.", MeaninglessError),
     ("The man who went to the kitchen.", MeaninglessError),
     ("Mary who.", MeaninglessError),
@@ -198,11 +202,15 @@ def test_a_second_sense_that_adds_no_reading(matcher, records, text):
     ("Mary went to the kitchen garden.", MeaninglessError),
     ("Mary went to the kitchen .", None),    # tokenize drops the bare "."
 ])
-def test_sentence_outcomes(matcher, text, error):
-    if error is None:
+def test_sentence_outcomes(matcher, text, outcome):
+    # an error class, a rendered logical structure, or None: that of the
+    # same sentence without the stray token
+    if outcome is None:
         assert parse(matcher, text).ls == parse(matcher, "Mary went to the kitchen.").ls
+    elif isinstance(outcome, str):
+        assert ls_of(matcher, text) == outcome
     else:
-        with pytest.raises(error):
+        with pytest.raises(outcome):
             parse(matcher, text)
 
 

@@ -162,6 +162,16 @@ def test_bundle_needs_two_entities():
         Referent(kind="bundle", members=(MARY,))
 
 
+def test_unspecified_carries_no_attributes():
+    with pytest.raises(SemanticsError, match="unspecified referent carries no attributes"):
+        Referent(kind="unspecified", attributes=frozenset({"definite"}))
+
+
+def test_render_rejects_a_non_term():
+    with pytest.raises(SemanticsError, match="cannot render"):
+        render("have'(bill,the milk)")
+
+
 def test_unspecified_renders_as_zero():
     assert render(UNSPECIFIED) == "0"
     assert render(State("p:be-on", entity("r:beach", "definite"), UNSPECIFIED)) \
