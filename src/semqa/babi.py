@@ -114,11 +114,10 @@ def parse_babi_file(document: str) -> list[list[BabiRecord]]:
 
 
 def story_vocabulary(stories: list[list[BabiRecord]]) -> set[str]:
-    """Every token of the stories; a text that repeats is tokenized once."""
-    words: set[str] = set()
-    for text in {rec.text for story in stories for rec in story}:
-        words.update(tokenize(text)[0])
-    return words
+    """Every token of the stories.  Tokenization is per word, so the
+    distinct words of the distinct texts are tokenized once, together."""
+    texts = {rec.text for story in stories for rec in story}
+    return set(tokenize(" ".join({word for text in texts for word in text.split()}))[0])
 
 
 def check_vocabulary(lexicon: Lexicon, stories: list[list[BabiRecord]]) -> list[str]:

@@ -5,11 +5,24 @@ coexists with the history it negates.  An item keeps the parsed logical
 structure itself, shared with the matcher's parse cache; only the branches
 above a resolved pronoun are rebuilt.  A statement or question whose
 proposition says it holds no pronoun (`Proposition.pronoun`, set by the
-matcher) is used without a walk; one built by hand is walked.  Questions
-intersect the stored items against their own logical structure:
-present-tense position questions return the latest still-valid element,
-past tense returns the list, which a past-tense polar question also
-asks.  Possession questions replay the have' ledger, one row per object:
+matcher) is used without a walk; one built by hand is walked.
+
+A pronoun takes the latest referent of its agreement class (Lappin &
+Leass, *Computational Linguistics* 20(4), 1994, filter by agreement
+before salience).  The tracker keeps this as a view maintained from the
+append-only items (Gupta & Mumick, IEEE Data Eng. Bull. 1995): each item
+appends its antecedent summary (`Proposition.antecedents`, the first
+referent per class), and a resolution folds the summaries appended since
+the last one into a class -> latest referent index, then looks its class
+up.  Each summary is folded once, so a resolution costs O(1) amortised,
+however far back its antecedent lies, and a pronoun-free ingest walks
+nothing.
+
+Questions intersect the stored items against their own logical
+structure: present-tense position questions return the latest
+still-valid element, past tense returns the list, which a past-tense
+polar question also asks; a bundle was where all its members were at
+once.  Possession questions replay the have' ledger, one row per object:
 the item of its latest gain, or None once lost.  Transfer questions
 collect every matching item in context order (`latest_match` keeps only
 the last, as the bAbI datasets expect).
@@ -38,6 +51,7 @@ from .semantics import (
     State,
     UNSPECIFIED,
     Wrapped,
+    antecedents,
     map_referents,
     referent_matches,
     render,
@@ -167,6 +181,12 @@ class ContextTracker:
         self.config = config or QueryConfig()
         self.items: list[ContextItem] = []
         self.diagnostics: list[str] = []
+        # the antecedent summary of each item, in context order; the first
+        # `_folded` of them are folded into `_latest`, agreement class ->
+        # the latest referent of that class
+        self._summaries: list[tuple] = []
+        self._folded = 0
+        self._latest: dict[str, Referent] = {}
 
     def trace(self) -> str:
         return "\n".join(item.trace_line(self.lexicon) for item in self.items)
@@ -174,12 +194,20 @@ class ContextTracker:
     # -- ingestion -------------------------------------------------------
 
     def ingest(self, prop: Proposition):
-        """Append a statement's propositions; embedded clauses go in first."""
+        """Append a statement's propositions; embedded clauses go in first.
+        A pronoun-free proposition's antecedent summary is appended as
+        the matcher made it; a pronoun statement's is that of its resolved
+        structure, and a hand-built proposition's is walked here."""
         if prop.operators.force == "question":
             raise ContextError("questions are answered, not ingested")
         for emb in prop.embedded:
             self.ingest(replace(emb, embedded=()))
-        ls = self._resolve_ls(prop.ls) if prop.pronoun else prop.ls
+        ls, summary = prop.ls, prop.antecedents
+        if prop.pronoun:
+            ls, summary = self._resolve_ls(ls), None
+        if summary is None:
+            summary = antecedents(ls, self.lexicon)
+        self._summaries.append(summary)
         self.items.append(ContextItem(len(self.items) + 1, ls,
                                       prop.operators, prop.source))
 
@@ -191,28 +219,26 @@ class ContextTracker:
         return map_referents(ls, fix)
 
     def resolve_pronoun(self, attributes) -> Referent:
-        """Most recent referent agreeing in number and gender; `they`
-        resolves to the most recent bundle."""
-        plural = "plural" in attributes
-        gender = None
-        for g in ("male", "female", "neuter"):
-            if g in attributes:
-                gender = g
-        for item in reversed(self.items):
-            for ref in walk_referents(item.ls):
-                if plural:
-                    if ref.kind == "bundle":
-                        return ref
-                    continue
-                if ref.kind != "entity" or ref.sense is None:
-                    continue
-                if not self.lexicon.holds_category(ref.sense, "r:person"):
-                    continue
-                if gender in ("male", "female") and not ref.has(gender):
-                    continue
-                return ref
-        raise PronounResolutionError(
-            f"no antecedent agrees with {sorted(attributes)}")
+        """The latest referent agreeing in number and gender: `they` takes
+        the latest bundle, `he` and `she` the latest male or female
+        person, any other pronoun the latest person.  Read from the index
+        of the latest referent per agreement class, after folding into it
+        the summaries of the items stored since the last call."""
+        latest = self._latest
+        for summary in self._summaries[self._folded:]:
+            latest.update(summary)
+        self._folded = len(self._summaries)
+        if "plural" in attributes:
+            agreement = "plural"
+        elif "neuter" in attributes or "female" not in attributes and "male" not in attributes:
+            agreement = "person"
+        else:
+            agreement = "female" if "female" in attributes else "male"
+        ref = latest.get(agreement)
+        if ref is None:
+            raise PronounResolutionError(
+                f"no antecedent agrees with {sorted(attributes)}")
+        return ref
 
     # -- retrieval --------------------------------------------------------
 
@@ -231,10 +257,7 @@ class ContextTracker:
         members' common one, the latest of their entries, or None when
         they are apart."""
         if entity.kind == "bundle":
-            curs = [self.current_position(m) for m in entity.members]
-            if None in curs or not all(_same_location(c.state, curs[0].state) for c in curs):
-                return None
-            return max(curs, key=lambda c: c.index)
+            return _common([self.current_position(m) for m in entity.members])
         cur = None
         for entry in self.positions_of(entity):
             cur = _advance(cur, entry)
@@ -255,14 +278,22 @@ class ContextTracker:
 
     def past_positions(self, entity: Referent) -> list[PositionEntry]:
         """Each location the entity was at, once, in context order; one
-        read of the items gives both these and the current position."""
-        cur = None
+        read of the entries gives both these and the current position.  A
+        bundle was at a location when all its members were, the rule of
+        `current_position`."""
+        members = entity.members if entity.kind == "bundle" else (entity,)
+        entries = sorted(((k, e) for k, member in enumerate(members)
+                          for e in self.positions_of(member)), key=lambda ke: ke[1].index)
+        curs: list[PositionEntry | None] = [None] * len(members)
         deduped: list[PositionEntry] = []
-        for e in self.positions_of(entity):
-            cur = _advance(cur, e)
+        for k, e in entries:
+            curs[k] = _advance(curs[k], e)
             if e.polarity == "positive" \
+                    and all(c is e or c is not None and _same_location(c.state, e.state)
+                            for c in curs) \
                     and not any(_same_location(d.state, e.state) for d in deduped):
                 deduped.append(e)
+        cur = _common(curs)
         if not self.config.include_current_position and cur is not None:
             deduped = [e for e in deduped if not _same_location(e.state, cur.state)]
         return deduped
@@ -485,6 +516,14 @@ def _advance(cur: PositionEntry | None, entry: PositionEntry) -> PositionEntry |
     if cur is not None and _same_location(cur.state, entry.state):
         return None
     return cur
+
+
+def _common(curs: list[PositionEntry | None]) -> PositionEntry | None:
+    """The members' common current position, the latest of their entries,
+    or None when one has none or they are apart."""
+    if None in curs or not all(_same_location(c.state, curs[0].state) for c in curs):
+        return None
+    return max(curs, key=lambda c: c.index)
 
 
 def _entry(state: State, item: ContextItem) -> PositionEntry:

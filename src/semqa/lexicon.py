@@ -215,7 +215,10 @@ class Lexicon:
 
     def is_a_closure(self, sense_id: str) -> frozenset[str]:
         """Every sense `sense_id` reaches via zero or more is-a edges."""
-        return self._isa[sense_id]
+        try:
+            return self._isa[sense_id]
+        except KeyError:
+            raise LexiconError(f"unknown sense {sense_id!r}") from None
 
     def qualia_expand(self, referent: str) -> list[tuple[str, str]]:
         """Part (has-a) and telic/agentive (does-x) associations of a referent.

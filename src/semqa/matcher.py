@@ -81,11 +81,17 @@ A class shares only surfaces the engine cannot tell apart (see the
 lexicon module), so the rebuilt proposition equals a cold parse of the
 text.  Entity referents come from one table keyed by sense and kept
 attributes, for cold parses and rebuilt ones alike.  Every table keeps at
-most `PARSE_CACHE_SIZE` entries, evicting the oldest first.  Each
-proposition records whether its structure holds a pronoun, so the context
-walks only those.
-Concurrent callers may share a matcher: the tables only ever map a key
-to an equal value, and eviction tolerates a racing caller.
+most `PARSE_CACHE_SIZE` entries, evicting the oldest first.  Concurrent
+callers may share a matcher: the tables only ever map a key to an equal
+value, and eviction tolerates a racing caller.
+
+Each proposition records whether its structure holds a pronoun, so the
+context walks only those, and a pronoun-free one carries its antecedent
+summary (`semantics.antecedents`), from which the context resolves later
+pronouns without walking back through the story.  A cold parse walks its
+structure once for it; a shape hit maps the cached summary through the
+same swap as the structure, since a class member keeps the attributes and
+is-a parents that decide its agreement classes; a text hit shares it.
 """
 
 from __future__ import annotations
@@ -100,6 +106,7 @@ from .semantics import (
     OperatorSet,
     Referent,
     UNSPECIFIED,
+    antecedents,
     build_active_achievement,
     build_state,
     build_transfer,
@@ -241,14 +248,19 @@ class Proposition:
     """One ingestible unit: logical structure + operators + hoisted clauses.
 
     `pronoun` says whether `ls` holds a pronoun referent for the context
-    to resolve.  The matcher sets it; a proposition built by hand keeps
-    the default, which only costs the context a walk."""
+    to resolve, and `antecedents` is the antecedent summary of `ls` (see
+    `semantics.antecedents`), from which the context resolves later
+    pronouns.  The matcher sets both; a structure that holds a pronoun
+    has no summary, since its referents are known only once resolved.  A
+    proposition built by hand keeps the defaults, which only cost the
+    context a walk."""
 
     ls: object
     operators: OperatorSet
     embedded: tuple["Proposition", ...] = ()
     source: str = ""
     pronoun: bool = field(default=True, compare=False)
+    antecedents: tuple[tuple[str, Referent], ...] | None = field(default=None, compare=False)
 
 
 def _selector_matches(sel: Selector, el: Element) -> bool:
@@ -273,10 +285,21 @@ def _keep(table: dict, key, value):
 
 def _recast(prop: Proposition, swap, source: str) -> Proposition:
     """`prop` and its embedded clauses with `swap` applied to every
-    referent and `source` set to `source`."""
+    referent, the antecedent summary's included, and `source` set to
+    `source`.  A swap keeps a referent's attributes and is-a parents, so
+    each summary referent stays in its agreement class."""
+    summary = prop.antecedents
+    if summary:
+        # a person's classes sit side by side: each referent is swapped once
+        pairs, last, new = [], None, None
+        for cls, ref in summary:
+            if ref is not last:
+                last, new = ref, swap(ref)
+            pairs.append((cls, new))
+        summary = tuple(pairs)
     return Proposition(map_referents(prop.ls, swap), prop.operators,
                        tuple(_recast(e, swap, source) for e in prop.embedded),
-                       source, prop.pronoun)
+                       source, prop.pronoun, summary)
 
 
 def _is_pronoun(ref: Referent) -> bool:
@@ -761,6 +784,9 @@ class Matcher:
             raise MeaninglessError(f"{sense_id!r} needs its particle")
 
         if template == "motion":
+            if roles["destination"].kind == "bundle":
+                raise MeaninglessError(
+                    f"destination {roles['destination'].head()} is not one place")
             ls = build_active_achievement(lex, roles["actor"], sense_id,
                                           roles["destination"])
         elif template == "transfer":
@@ -824,14 +850,15 @@ class Matcher:
         if actorish is not None and actorish.kind == "bundle" and ops.number != "plural":
             ops = ops.with_(number="plural")
         pronoun = _holds_pronoun(ls, roles.values())
+        summary = None if pronoun else antecedents(ls, self.lexicon)
         embedded = ()
         if "no-longer" in verb.attributes:
             # cessation reads as: it was so, and now it is not
             twin = Proposition(ls, ops.with_(tense="past", polarity="positive"),
-                               source=source, pronoun=pronoun)
+                               source=source, pronoun=pronoun, antecedents=summary)
             ops = ops.with_(tense="present", polarity="negative")
             embedded = (twin,)
-        return Proposition(ls, ops, embedded, source, pronoun)
+        return Proposition(ls, ops, embedded, source, pronoun, summary)
 
     def _bare_position(self, elements: list[Element], ops: OperatorSet,
                        source: str) -> Proposition:
@@ -841,7 +868,9 @@ class Matcher:
         if len(pos) == 1 and not rest:
             ref = self._referent_of(pos[0])
             ls = build_state(self.lexicon, pos[0].attr("pos") or "p:be-LOC", ref, UNSPECIFIED)
-            return Proposition(ls, ops, (), source, _holds_pronoun(ls, (ref,)))
+            pronoun = _holds_pronoun(ls, (ref,))
+            return Proposition(ls, ops, (), source, pronoun,
+                               None if pronoun else antecedents(ls, self.lexicon))
         raise MeaninglessError("no predicate matched")
 
     # -- embedded clauses ---------------------------------------------------

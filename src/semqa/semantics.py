@@ -416,6 +416,41 @@ def walk_referents(term: Arg):
         yield from walk_referents(term.right)
 
 
+def antecedents(term: Arg, lexicon) -> tuple[tuple[str, Referent], ...]:
+    """The term's antecedent summary: for each agreement class a pronoun
+    asks for, the first referent of that class in walk order, as (class,
+    referent) pairs in the order the classes are first met.  The classes
+    are `plural` (a bundle), `person` (an entity that is an r:person) and
+    `male` and `female` (a person with that attribute)."""
+    found: dict[str, Referent] = {}
+    _collect_antecedents(term, lexicon, found)
+    return tuple(found.items())
+
+
+def _collect_antecedents(term: Arg, lexicon, found: dict):
+    if isinstance(term, Referent):
+        if term.kind == "bundle":
+            found.setdefault("plural", term)
+        elif term.kind == "entity" and term.sense is not None \
+                and "r:person" in lexicon.is_a_closure(term.sense):
+            found.setdefault("person", term)
+            for gender in ("male", "female"):
+                if gender in term.attributes:
+                    found.setdefault(gender, term)
+    elif isinstance(term, State):
+        _collect_antecedents(term.arg1, lexicon, found)
+        _collect_antecedents(term.arg2, lexicon, found)
+    elif isinstance(term, Activity):
+        _collect_antecedents(term.actor, lexicon, found)
+        if term.undergoer is not None:
+            _collect_antecedents(term.undergoer, lexicon, found)
+    elif isinstance(term, Wrapped):
+        _collect_antecedents(term.inner, lexicon, found)
+    elif isinstance(term, Linked):
+        _collect_antecedents(term.left, lexicon, found)
+        _collect_antecedents(term.right, lexicon, found)
+
+
 def map_referents(term: Arg, fn) -> Arg:
     """The term with fn applied to every referent.  Only the subterms above
     a changed referent are rebuilt; every other subterm, and the whole term

@@ -5,10 +5,12 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semqa
 from semqa.babi import (
     BabiFormatError,
+    BabiRecord,
     RunResult,
     TaskConfig,
     VocabularyGapError,
@@ -22,6 +24,9 @@ from semqa.babi import (
     story_vocabulary,
 )
 from semqa.matcher import Matcher, tokenize
+
+from conftest import synthetic_stories
+from test_golden import fixture_documents
 
 SAMPLE = """1 Bill grabbed the apple there.
 2 Bill handed the apple to Jeff.
@@ -138,13 +143,40 @@ def test_run_task_keeps_no_parse_state_between_calls(lex, monkeypatch):
     assert parsed > 0 and len(calls) == 2 * parsed
 
 
-def test_story_vocabulary_tokenizes_each_text_once(lex, monkeypatch):
+def test_story_vocabulary_tokenizes_each_word_once(lex, monkeypatch):
     texts = []
     monkeypatch.setattr("semqa.babi.tokenize", lambda text: texts.append(text) or tokenize(text))
     stories = fixture_stories(1) * 3
     words = story_vocabulary(stories)
-    assert sorted(texts) == sorted({rec.text for story in stories for rec in story})
+    [joined] = texts
+    assert sorted(joined.split()) == sorted(
+        {word for story in stories for rec in story for word in rec.text.split()})
     assert {"mary", "where", "is"} <= words
+
+
+def per_text_vocabulary(stories) -> set[str]:
+    """The reference: every text tokenized on its own."""
+    return {token for story in stories for rec in story for token in tokenize(rec.text)[0]}
+
+
+def test_story_vocabulary_is_the_per_text_union(synth):
+    documents = [parse_babi_file(doc) for _, _, doc in fixture_documents()]
+    documents += [synthetic_stories(task, 20, seed=17 + task)[0] for task in synth.FAMILIES]
+    for stories in documents:
+        assert story_vocabulary(stories) == per_text_vocabulary(stories)
+
+
+# words and separators that tokenization treats specially
+PIECES = st.sampled_from(["Mary", "won't", "can't", "didn't", "n't", "?", ".", ",", "!",
+                          "Is", "İ", "ß", " ", "  ", "\t", "\u00a0", "\u2003", "'"])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.lists(st.one_of(PIECES, st.text(max_size=6)), max_size=8).map("".join),
+                max_size=6))
+def test_story_vocabulary_of_any_text_is_the_per_text_union(texts):
+    stories = [[BabiRecord(i, text) for i, text in enumerate(texts, start=1)]]
+    assert story_vocabulary(stories) == per_text_vocabulary(stories)
 
 
 def test_vocabulary_gap_aborts_with_word_list(lex):

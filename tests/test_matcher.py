@@ -416,6 +416,28 @@ def test_pronoun_flag(matcher):
                                                       pronoun=False)
 
 
+def test_antecedent_summary(matcher):
+    # per agreement class, the first referent of the class in walk order
+    summary = parse(matcher, "The milk was given to Mary by John.").antecedents
+    assert [(cls, ref.sense) for cls, ref in summary] == [
+        ("person", "r:john"), ("male", "r:john"), ("female", "r:mary")]
+    [(cls, pair)] = parse(matcher, "Mary and John went to the garden.").antecedents
+    assert cls == "plural" and [m.sense for m in pair.members] == ["r:mary", "r:john"]
+    assert parse(matcher, "The milk is in the kitchen.").antecedents == ()
+    # a structure that holds a pronoun has none until the context resolves it
+    assert parse(matcher, "She went to the kitchen.").antecedents is None
+    no_longer = parse(matcher, "Fred is no longer in the office.")
+    assert no_longer.embedded[0].antecedents == no_longer.antecedents == (
+        ("person", entity("r:fred", "proper", "male", "singular")),
+        ("male", entity("r:fred", "proper", "male", "singular")))
+
+
+def test_a_bundle_destination_fails_naming_the_sense(matcher):
+    with pytest.raises(MeaninglessError,
+                       match="p:go: destination kitchen and garden is not one place"):
+        parse(matcher, "Mary went to the kitchen and the garden.")
+
+
 def test_unknown_word_raises_on_every_call(lex):
     m = Matcher(lex)
     for _ in range(2):

@@ -5,8 +5,9 @@ shape: a text whose shape is cached gets the cached proposition rebuilt
 with its own senses in the shape's slots.  The reference is a fresh
 `Matcher`, whose tables are empty.  On every sentence below, and on
 refillings of each from the lexicon's token classes, parsed after another
-filling of the same shape, the two give equal propositions (source and
-pronoun flags included) or raise the same error class.
+filling of the same shape, the two give equal propositions (source,
+pronoun flags and antecedent summaries included) or raise the same error
+class.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def outcome(matcher, text):
         prop = matcher.parse_utterance(text)
     except MatchError as exc:
         return type(exc).__name__
-    return prop, prop.pronoun, tuple(e.pronoun for e in prop.embedded)
+    return (prop, prop.pronoun, prop.antecedents,
+            tuple((e.pronoun, e.antecedents) for e in prop.embedded))
 
 
 def class_members(lex) -> dict[int, list[str]]:
