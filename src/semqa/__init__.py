@@ -17,7 +17,7 @@ from .babi import (
     run_task,
     score,
 )
-from .context import AnswerContent, ContextItem, ContextTracker, QueryConfig
+from .context import AnswerContent, ContextTracker, QueryConfig
 from .errors import SemqaError
 from .lexicon import Lexicon, LexiconError, load_lexicon
 from .matcher import Matcher, MatchError, Proposition, tokenize

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .context import (
     AnswerContent,
-    ContextItem,
     ContextTracker,
     QueryConfig,
     item_receive_candidates,
@@ -23,7 +22,7 @@ from .context import (
 )
 from .errors import SemqaError
 from .lexicon import Lexicon
-from .matcher import Matcher, tokenize
+from .matcher import Matcher, Proposition, tokenize
 from .nlg import RealizationRequest, realize_answer
 from .semantics import Referent
 
@@ -206,7 +205,7 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
 
 
 def audit_mismatch(result: RunResult, content: AnswerContent,
-                   items: list[ContextItem]) -> tuple[str | None, str]:
+                   items: list[Proposition]) -> tuple[str | None, str]:
     """Classify a mismatch against the registered dataset-error rules;
     `result` is a mismatched answer, `content` the untrimmed answer, and
     `items` the story's context.
@@ -229,8 +228,8 @@ def audit_mismatch(result: RunResult, content: AnswerContent,
     last_index = content.support[-1] if content.support else None
     if last_index is not None:
         item = items[last_index - 1]
-        gains = item_receive_candidates(item, strict=False)
-        strict_gains = item_receive_candidates(item, strict=True)
+        gains = item_receive_candidates(item, last_index, strict=False)
+        strict_gains = item_receive_candidates(item, last_index, strict=True)
         if gains and not strict_gains:
             return "G2", (
                 f"latest gain (item #{last_index}) is a self-acquisition; "

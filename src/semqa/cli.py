@@ -28,7 +28,7 @@ from .babi import (
     run_task,
     score,
 )
-from .context import ContextTracker, latest_match
+from .context import ContextTracker, latest_match, trace_line
 from .errors import SemqaError
 from .lexicon import LexiconError, load_lexicon
 from .matcher import Matcher
@@ -169,7 +169,7 @@ def cmd_repl(args) -> int:
                 print(realize_answer(req, lexicon))
             else:
                 tracker.ingest(prop)
-                print(f"  + {tracker.items[-1].trace_line(lexicon)}")
+                print(f"  + {trace_line(len(tracker.items), tracker.items[-1], lexicon)}")
         except SemqaError as exc:
             print(f"! {type(exc).__name__}: {exc}")
 

@@ -1,22 +1,26 @@
 """Append-only discourse context with set-intersection question answering.
 
 Statements only ever add items; nothing is updated or deleted, so negation
-coexists with the history it negates.  An item keeps the parsed logical
-structure itself, shared with the matcher's parse cache; only the branches
-above a resolved pronoun are rebuilt.  A statement or question whose
-proposition says it holds no pronoun (`Proposition.pronoun`, set by the
-matcher) is used without a walk; one built by hand is walked.
+coexists with the history it negates.  An item is a `Proposition` with no
+embedded clauses, no pronoun and its own antecedent summary; its number
+is its position in `items` + 1.  A pronoun-free proposition the matcher
+made with no embedded clauses is stored as it is, shared with the parse
+cache; any other gets one new `Proposition`.  A statement or question
+whose proposition says it holds no pronoun (`Proposition.pronoun`, set by
+the matcher) is used without a walk; one built by hand is walked.
 
 A pronoun takes the latest referent of its agreement class (Lappin &
 Leass, *Computational Linguistics* 20(4), 1994, filter by agreement
 before salience).  The tracker keeps this as a view maintained from the
-append-only items (Gupta & Mumick, IEEE Data Eng. Bull. 1995): each item
-appends its antecedent summary (`Proposition.antecedents`, the first
-referent per class), and a resolution folds the summaries appended since
-the last one into a class -> latest referent index, then looks its class
-up.  Each summary is folded once, so a resolution costs O(1) amortised,
-however far back its antecedent lies, and a pronoun-free ingest walks
-nothing.
+append-only items (Gupta & Mumick, IEEE Data Eng. Bull. 1995): a
+resolution folds the antecedent summaries (`Proposition.antecedents`, the
+first referent per class) of the items stored since the last one into a
+class -> latest referent index, then looks its class up.  Each summary is
+folded once, so a resolution costs O(1) amortised, however far back its
+antecedent lies, and a pronoun-free ingest walks nothing.  A pronoun
+statement is walked once: the walk resolves each distinct pronoun once,
+a conjunct's included, rebuilds only the branches above them, and
+collects the resolved structure's summary on the way.
 
 Questions intersect the stored items against their own logical
 structure: present-tense position questions return the latest
@@ -52,7 +56,9 @@ from .semantics import (
     UNSPECIFIED,
     Wrapped,
     antecedents,
+    bundle,
     map_referents,
+    note_antecedent,
     referent_matches,
     render,
     unify,
@@ -75,16 +81,10 @@ class UnsupportedQuestionError(ContextError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ContextItem:
-    index: int
-    ls: object
-    operators: OperatorSet
-    source: str
-
-    def trace_line(self, lexicon: Lexicon | None = None) -> str:
-        return (f"#{self.index} [{self.operators.describe()}] "
-                f"{render(self.ls, lexicon)} :: {self.source}")
+def trace_line(number: int, item: Proposition, lexicon: Lexicon | None = None) -> str:
+    """One stored item as `#number [operators] logical structure :: source`."""
+    return (f"#{number} [{item.operators.describe()}] "
+            f"{render(item.ls, lexicon)} :: {item.source}")
 
 
 @dataclass(frozen=True)
@@ -179,42 +179,68 @@ class ContextTracker:
     def __init__(self, lexicon: Lexicon, config: QueryConfig | None = None):
         self.lexicon = lexicon
         self.config = config or QueryConfig()
-        self.items: list[ContextItem] = []
+        self.items: list[Proposition] = []
         self.diagnostics: list[str] = []
-        # the antecedent summary of each item, in context order; the first
-        # `_folded` of them are folded into `_latest`, agreement class ->
-        # the latest referent of that class
-        self._summaries: list[tuple] = []
+        # the summaries of the first `_folded` items are folded into
+        # `_latest`, agreement class -> the latest referent of that class
         self._folded = 0
         self._latest: dict[str, Referent] = {}
 
     def trace(self) -> str:
-        return "\n".join(item.trace_line(self.lexicon) for item in self.items)
+        return "\n".join(trace_line(n, item, self.lexicon)
+                         for n, item in enumerate(self.items, 1))
 
     # -- ingestion -------------------------------------------------------
 
     def ingest(self, prop: Proposition):
-        """Append a statement's propositions; embedded clauses go in first.
-        A pronoun-free proposition's antecedent summary is appended as
-        the matcher made it; a pronoun statement's is that of its resolved
-        structure, and a hand-built proposition's is walked here."""
+        """Append a statement's propositions; embedded clauses go in first,
+        each without embedded clauses of its own."""
         if prop.operators.force == "question":
             raise ContextError("questions are answered, not ingested")
         for emb in prop.embedded:
-            self.ingest(replace(emb, embedded=()))
+            self._store(emb)
+        self._store(prop)
+
+    def _store(self, prop: Proposition):
+        """Append `prop` as an item.  A pronoun-free proposition with its
+        summary and no embedded clauses is the item itself; a pronoun
+        statement's item holds its resolved structure and that structure's
+        summary, and a hand-built proposition's summary is walked here."""
         ls, summary = prop.ls, prop.antecedents
         if prop.pronoun:
-            ls, summary = self._resolve_ls(ls), None
-        if summary is None:
+            found: dict[str, Referent] = {}
+            ls = self._resolve_ls(ls, found)
+            summary = tuple(found.items())
+        elif summary is None:
             summary = antecedents(ls, self.lexicon)
-        self._summaries.append(summary)
-        self.items.append(ContextItem(len(self.items) + 1, ls,
-                                      prop.operators, prop.source))
+        elif not prop.embedded:
+            self.items.append(prop)
+            return
+        self.items.append(Proposition(ls, prop.operators, (), prop.source, False, summary))
 
-    def _resolve_ls(self, ls):
+    def _resolve_ls(self, ls, found: dict | None = None):
+        """`ls` with its pronouns resolved, in one walk: each distinct
+        pronoun is resolved once, and a bundle with a pronoun member is
+        rebuilt flat, a plural pronoun's members in its place.  Given
+        `found`, the walk collects into it the resolved structure's
+        antecedent summary, as `semantics.antecedents` would."""
+        lexicon, resolved = self.lexicon, {}    # a pronoun's attributes -> its antecedent
+
+        def resolve(pronoun: Referent) -> Referent:
+            new = resolved.get(pronoun.attributes)
+            if new is None:
+                new = resolved[pronoun.attributes] = self.resolve_pronoun(pronoun.attributes)
+            return new
+
         def fix(ref: Referent) -> Referent:
-            if ref.kind == "entity" and ref.has("pronoun"):
-                return self.resolve_pronoun(ref.attributes)
+            if "pronoun" in ref.attributes:
+                ref = resolve(ref)
+            elif ref.kind == "bundle" and any("pronoun" in m.attributes for m in ref.members):
+                members = [resolve(m) if "pronoun" in m.attributes else m for m in ref.members]
+                # an entity has no members; a bundle's join this one flat
+                ref = bundle(*(m for r in members for m in r.members or (r,)))
+            if found is not None:
+                note_antecedent(ref, lexicon, found)
             return ref
         return map_referents(ls, fix)
 
@@ -225,9 +251,9 @@ class ContextTracker:
         of the latest referent per agreement class, after folding into it
         the summaries of the items stored since the last call."""
         latest = self._latest
-        for summary in self._summaries[self._folded:]:
-            latest.update(summary)
-        self._folded = len(self._summaries)
+        for item in self.items[self._folded:]:
+            latest.update(item.antecedents)
+        self._folded = len(self.items)
         if "plural" in attributes:
             agreement = "plural"
         elif "neuter" in attributes or "female" not in attributes and "male" not in attributes:
@@ -246,10 +272,10 @@ class ContextTracker:
         """Every position asserted for the entity, in context order;
         bundle membership counts."""
         out = []
-        for item in self.items:
+        for n, item in enumerate(self.items, 1):
             for state in _position_states(item.ls):
                 if referent_matches(entity, state.arg2):
-                    out.append(_entry(state, item))
+                    out.append(_entry(state, item, n))
         return out
 
     def current_position(self, entity: Referent) -> PositionEntry | None:
@@ -267,9 +293,9 @@ class ContextTracker:
         """Every entity with an asserted position, in first-seen order, with
         its current position: one pass over the items, not one per entity."""
         found: dict[str | None, list] = {}   # sense -> [first referent, current]
-        for item in self.items:
+        for n, item in enumerate(self.items, 1):
             for state in _position_states(item.ls):
-                entry = _entry(state, item)
+                entry = _entry(state, item, n)
                 placed = state.arg2      # an entity, or each bundle member
                 for ref in (placed,) if placed.kind == "entity" else placed.members:
                     slot = found.setdefault(ref.sense, [ref, None])
@@ -306,8 +332,8 @@ class ContextTracker:
         recorded once as a diagnostic, not a crash.
         """
         ledger: list[list] = []   # [obj referent, item of the latest gain or None]
-        for item in self.items:
-            for ev in have_events(item.ls, item.index):
+        for n, item in enumerate(self.items, 1):
+            for ev in have_events(item.ls, n):
                 if ev.party.kind == "unspecified":
                     continue
                 if not referent_matches(holder, ev.party) \
@@ -319,11 +345,11 @@ class ContextTracker:
                     row = [ev.obj, None]
                     ledger.append(row)
                 if not ev.positive and row[1] is None:
-                    note = (f"item #{item.index}: {holder.head()} loses "
+                    note = (f"item #{n}: {holder.head()} loses "
                             f"{ev.obj.head()} without holding it (story inconsistency)")
                     if note not in self.diagnostics:   # asked again: noted once
                         self.diagnostics.append(note)
-                row[1] = item.index if ev.positive else None
+                row[1] = n if ev.positive else None
         return sorted(((obj, gain) for obj, gain in ledger if gain is not None),
                       key=lambda r: -r[1])
 
@@ -411,12 +437,11 @@ class ContextTracker:
             return AnswerContent("polar", polarity="yes" if yes else "no",
                                  echo=ops, topic=topic, aux_hint="do",
                                  support=[e.index for e in events])
-        matched = [item for item in self.items
+        matched = [n for n, item in enumerate(self.items, 1)
                    if unify(ls, item.ls, self.lexicon) is not None]
         topic = next(iter(walk_referents(ls)), None)
         return AnswerContent("polar", polarity="yes" if matched else "no",
-                             echo=ops, topic=topic, aux_hint="do",
-                             support=[i.index for i in matched])
+                             echo=ops, topic=topic, aux_hint="do", support=matched)
 
     def _answer_who_position(self, ls: State, ops: OperatorSet) -> AnswerContent:
         """Entities whose current position matches the queried location."""
@@ -452,8 +477,8 @@ class ContextTracker:
             return None
         q = wanted[0]
         found = []
-        for item in self.items:
-            for ev in item_receive_candidates(item, self.config.strict_receive):
+        for n, item in enumerate(self.items, 1):
+            for ev in item_receive_candidates(item, n, self.config.strict_receive):
                 if referent_matches(q.party, ev.party) \
                         and referent_matches(q.obj, ev.obj):
                     found.append(ev)
@@ -469,14 +494,14 @@ class ContextTracker:
                 bindings.append(ev.party if q.party.is_query else ev.obj)
                 support.append(ev.index)
         else:
-            for item in self.items:
+            for n, item in enumerate(self.items, 1):
                 result = unify(ls, item.ls, self.lexicon)
                 if result is None:
                     continue
                 value = result.get(focus)
                 if isinstance(value, Referent):
                     bindings.append(value)
-                    support.append(item.index)
+                    support.append(n)
         topic = next((r for r in walk_referents(ls)
                       if r.kind in ("entity", "bundle")), None)
         return AnswerContent("transfer", bindings=bindings, echo=ops, topic=topic,
@@ -492,11 +517,12 @@ def latest_match(content: AnswerContent) -> AnswerContent:
                    support=content.support[-1:])
 
 
-def item_receive_candidates(item: ContextItem, strict: bool) -> list[HaveEvent]:
-    """Positive gains in an item; with strict receiving, only gains with a
-    distinct transfer source count (self-acquisitions are excluded)."""
+def item_receive_candidates(item: Proposition, index: int, strict: bool) -> list[HaveEvent]:
+    """Positive gains in item number `index`; with strict receiving, only
+    gains with a distinct transfer source count (self-acquisitions are
+    excluded)."""
     out = []
-    for ev in have_events(item.ls, item.index):
+    for ev in have_events(item.ls, index):
         if not ev.positive or ev.party.kind == "unspecified":
             continue
         if strict:
@@ -526,8 +552,8 @@ def _common(curs: list[PositionEntry | None]) -> PositionEntry | None:
     return max(curs, key=lambda c: c.index)
 
 
-def _entry(state: State, item: ContextItem) -> PositionEntry:
-    return PositionEntry(state, item.operators.polarity, item.index,
+def _entry(state: State, item: Proposition, index: int) -> PositionEntry:
+    return PositionEntry(state, item.operators.polarity, index,
                          item.operators.tense)
 
 

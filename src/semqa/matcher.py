@@ -85,13 +85,17 @@ most `PARSE_CACHE_SIZE` entries, evicting the oldest first.  Concurrent
 callers may share a matcher: the tables only ever map a key to an equal
 value, and eviction tolerates a racing caller.
 
-Each proposition records whether its structure holds a pronoun, so the
-context walks only those, and a pronoun-free one carries its antecedent
-summary (`semantics.antecedents`), from which the context resolves later
-pronouns without walking back through the story.  A cold parse walks its
-structure once for it; a shape hit maps the cached summary through the
-same swap as the structure, since a class member keeps the attributes and
-is-a parents that decide its agreement classes; a text hit shares it.
+Each proposition records whether its structure holds a pronoun, a
+conjunct of a bundle included, so the context walks only those; a
+pronoun-free one carries its antecedent summary (`semantics.antecedents`)
+and is stored by the context as it is, summary and all.  The context
+resolves later pronouns from these summaries without walking back through
+the story.  A cold parse walks its structure once for the summary; a
+shape hit maps the cached summary through the same swap as the
+structure, since a class member keeps the attributes and is-a parents
+that decide its agreement classes; a text hit shares it.  A pronoun
+statement's summary is collected by the context, in the one walk that
+resolves it.
 """
 
 from __future__ import annotations
@@ -245,15 +249,17 @@ class Element:
 
 @dataclass(frozen=True, slots=True)
 class Proposition:
-    """One ingestible unit: logical structure + operators + hoisted clauses.
+    """One ingestible unit: logical structure + operators + hoisted clauses,
+    and the context's stored item.
 
-    `pronoun` says whether `ls` holds a pronoun referent for the context
-    to resolve, and `antecedents` is the antecedent summary of `ls` (see
-    `semantics.antecedents`), from which the context resolves later
-    pronouns.  The matcher sets both; a structure that holds a pronoun
-    has no summary, since its referents are known only once resolved.  A
-    proposition built by hand keeps the defaults, which only cost the
-    context a walk."""
+    `pronoun` says whether `ls` holds a pronoun referent, alone or as a
+    bundle member, for the context to resolve, and `antecedents` is the
+    antecedent summary of `ls` (see `semantics.antecedents`), from which
+    the context resolves later pronouns.  The matcher sets both; a
+    structure that holds a pronoun has no summary, since its referents are
+    known only once resolved.  A proposition built by hand keeps the
+    defaults, which only cost the context a walk.  A stored item has no
+    embedded clauses, no pronoun and its own summary."""
 
     ls: object
     operators: OperatorSet
@@ -303,6 +309,9 @@ def _recast(prop: Proposition, swap, source: str) -> Proposition:
 
 
 def _is_pronoun(ref: Referent) -> bool:
+    """Whether `ref` is a pronoun or a bundle with a pronoun member."""
+    if ref.kind == "bundle":
+        return any(map(_is_pronoun, ref.members))
     return ref.kind == "entity" and "pronoun" in ref.attributes
 
 

@@ -427,16 +427,23 @@ def antecedents(term: Arg, lexicon) -> tuple[tuple[str, Referent], ...]:
     return tuple(found.items())
 
 
+def note_antecedent(ref: Referent, lexicon, found: dict):
+    """Add one referent, met next in walk order, to the antecedent summary
+    being collected in `found` (class -> referent): it fills the classes
+    it belongs to that no earlier referent filled."""
+    if ref.kind == "bundle":
+        found.setdefault("plural", ref)
+    elif ref.kind == "entity" and ref.sense is not None \
+            and "r:person" in lexicon.is_a_closure(ref.sense):
+        found.setdefault("person", ref)
+        for gender in ("male", "female"):
+            if gender in ref.attributes:
+                found.setdefault(gender, ref)
+
+
 def _collect_antecedents(term: Arg, lexicon, found: dict):
     if isinstance(term, Referent):
-        if term.kind == "bundle":
-            found.setdefault("plural", term)
-        elif term.kind == "entity" and term.sense is not None \
-                and "r:person" in lexicon.is_a_closure(term.sense):
-            found.setdefault("person", term)
-            for gender in ("male", "female"):
-                if gender in term.attributes:
-                    found.setdefault(gender, term)
+        note_antecedent(term, lexicon, found)
     elif isinstance(term, State):
         _collect_antecedents(term.arg1, lexicon, found)
         _collect_antecedents(term.arg2, lexicon, found)

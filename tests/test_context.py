@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import semqa.context
 from conftest import ingest_all, make_tracker
 from semqa.context import (
     ContextError,
@@ -16,11 +15,12 @@ from semqa.context import (
     UnsupportedQuestionError,
     have_events,
     latest_match,
+    trace_line,
 )
 from semqa.lexicon import Lexicon, LexiconError
 from semqa.matcher import MeaninglessError, Proposition
 from semqa.nlg import RealizationRequest, realize_answer
-from semqa.semantics import State, bundle, entity, render, walk_referents
+from semqa.semantics import State, antecedents, bundle, entity, render, walk_referents
 
 MARY = entity("r:mary", "proper", "female", "singular")
 DANIEL = entity("r:daniel", "proper", "male", "singular")
@@ -57,7 +57,7 @@ def test_ingest_is_append_only(lex, matcher):
     for s in ["Mary went to the kitchen.", "Fred is no longer in the office.",
               "Bill gave the milk to Mary."]:
         t.ingest(matcher.parse_single(s))
-        snapshots.append([item.trace_line() for item in t.items])
+        snapshots.append([trace_line(n, item) for n, item in enumerate(t.items, 1)])
     for earlier, later in zip(snapshots, snapshots[1:]):
         assert later[:len(earlier)] == earlier
 
@@ -93,24 +93,34 @@ def test_they_resolves_to_latest_bundle(lex, matcher):
 def test_only_pronoun_statements_are_walked(lex, matcher, monkeypatch):
     story = ["Daniel went to the kitchen.", "He picked up the milk.",
              "Daniel and Sandra went to the office.", "They went to the garden.",
-             "Mary who went to the hallway went to the garden."]
+             "Mary who went to the hallway went to the garden.",
+             "She and he went to the office."]
     # the reference resolves every statement, as if each held a pronoun
     reference = make_tracker(lex)
     for text in story:
         prop = matcher.parse_single(text)
         reference.ingest(replace(prop, pronoun=True, embedded=tuple(
             replace(emb, pronoun=True) for emb in prop.embedded)))
-    walked = []
-    real = ContextTracker._resolve_ls
-    monkeypatch.setattr(ContextTracker, "_resolve_ls",
-                        lambda self, ls: walked.append(ls) or real(self, ls))
+    resolved = []
+    real = ContextTracker.resolve_pronoun
+    monkeypatch.setattr(ContextTracker, "resolve_pronoun",
+                        lambda self, attributes: resolved.append(attributes)
+                        or real(self, attributes))
+
+    def forbidden(*args):
+        raise AssertionError("a pronoun statement walked twice")
+    for name in ("walk_referents", "antecedents"):
+        monkeypatch.setattr(f"semqa.context.{name}", forbidden)
     t = ingest_all(matcher, make_tracker(lex), story)
     assert t.trace() == reference.trace()
-    assert len(walked) == 2
-    # a proposition built by hand is resolved
+    # one resolution per distinct pronoun, however often the structure uses it
+    he, they, she = (frozenset({"pronoun", "male", "singular"}), frozenset({"pronoun", "plural"}),
+                     frozenset({"pronoun", "female", "singular"}))
+    assert resolved == [he, they, she, he]
+    # a proposition built by hand is resolved, in the same one walk
     pronoun = matcher.parse_single("She went to the kitchen.")
     t.ingest(Proposition(pronoun.ls, pronoun.operators))
-    assert len(walked) == 3
+    assert resolved[4:] == [she]
     assert {r.sense for r in walk_referents(t.items[-1].ls)} == {"r:mary", "r:kitchen"}
 
 
@@ -210,21 +220,42 @@ def test_index_resolves_as_the_scan_after_every_item(lex, matcher, story):
         assert_index_agrees(lex, t)
 
 
+def assert_items_stored_resolved(lex, tracker):
+    """Every item holds no embedded clause and no pronoun, and carries its
+    own structure's antecedent summary."""
+    for item in tracker.items:
+        assert item.embedded == () and item.pronoun is False
+        assert item.antecedents == antecedents(item.ls, lex)
+        assert not any("pronoun" in m.attributes for r in walk_referents(item.ls)
+                       for m in (r.members if r.kind == "bundle" else (r,)))
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_interleaved_resolutions_match_the_scan(lex, matcher, synth, data):
-    """Synthetic stories with pronouns and bundles, resolutions drawn
-    between any two ingests: summaries are folded in batches of any size."""
+    """Synthetic stories with pronouns and bundles, a pronoun conjunct now
+    and then, resolutions drawn between any two ingests: summaries are
+    folded in batches of any size, and every stored item is resolved and
+    summarised as `semantics.antecedents` would."""
     family = data.draw(st.sampled_from(["pronouns", "pairs", "both", "mixed"]))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     w, t = synth.World(), make_tracker(lex)
     for _ in range(data.draw(st.integers(1, 40))):
-        if family == "mixed":
+        conjunct = rng.random() < 0.1
+        if conjunct:
+            text = (f"{rng.choice(synth.PEOPLE)} and {rng.choice(['he', 'she', 'they'])} "
+                    f"went to the {rng.choice(synth.PLACES)}.")
+        elif family == "mixed":
             text = synth.mixed_statement(rng, w)
         else:
             text = synth.gen_motion(rng, w, pronouns=family != "pairs",
                                     pairs=family != "pronouns")
-        t.ingest(matcher.parse_single(text))
+        count = len(t.items)
+        try:
+            t.ingest(matcher.parse_single(text))
+        except PronounResolutionError:     # a conjunct "they" with no bundle yet
+            assert conjunct and len(t.items) == count
+        assert_items_stored_resolved(lex, t)
         assert_index_agrees(lex, t, data.draw(st.lists(st.sampled_from(AGREEMENTS), max_size=2)))
     assert_index_agrees(lex, t)
 
@@ -248,12 +279,36 @@ def test_they_without_a_bundle_fails(lex, matcher):
     assert len(t.items) == 2
 
 
+def test_a_pronoun_conjunct_is_resolved(lex, matcher):
+    t = ingest_all(matcher, make_tracker(lex), ["Daniel went to the kitchen.",
+                                                "Sandra and he went to the garden."])
+    assert render(t.items[-1].ls) == ("do'(sandra and daniel,[go'(sandra and daniel)]) & "
+                                      "INGR be-in'(the garden,sandra and daniel)")
+    assert [render(b) for b in answer(matcher, t, "Where is Daniel?").bindings] \
+        == ["be-in'(the garden,0)"]
+    assert answer(matcher, t, "Is he in the garden?").polarity == "yes"
+    assert answer(matcher, t, "Are Sandra and he in the garden?").polarity == "yes"
+
+
+def test_a_plural_pronoun_conjunct_joins_a_flat_bundle(lex, matcher):
+    t = ingest_all(matcher, make_tracker(lex), ["Daniel and Sandra went to the office.",
+                                                "Mary and they went to the garden."])
+    mover = t.items[-1].ls.left.actor
+    assert [m.sense for m in mover.members] == ["r:mary", "r:daniel", "r:sandra"]
+    assert all(m.kind == "entity" for m in mover.members)
+    for question in ("Where is Sandra?", "Where are Mary and Daniel?"):
+        assert [render(b) for b in answer(matcher, t, question).bindings] \
+            == ["be-in'(the garden,0)"]
+    # "they" takes the latest bundle, now the three of them
+    t.ingest(matcher.parse_single("They went to the kitchen."))
+    assert t.items[-1].ls.left.actor == mover
+
+
 def test_a_pronoun_free_ingest_walks_nothing(lex, matcher, monkeypatch):
     story = ["Daniel went to the kitchen.", "Daniel and Sandra went to the office.",
              "Mary who went to the hallway went to the garden.",
              "Fred is no longer in the office.", "Bill gave the milk to Mary."]
     props = [matcher.parse_single(text) for text in story]
-    pronoun = matcher.parse_single("He went to the garden.")
 
     def forbidden(*args):
         raise AssertionError("walked at ingest")
@@ -265,23 +320,27 @@ def test_a_pronoun_free_ingest_walks_nothing(lex, matcher, monkeypatch):
     for prop in props:
         t.ingest(prop)
     assert len(t.items) == 7
-    monkeypatch.undo()
-    # a pronoun statement is resolved, and its resolved structure walked once
-    walked = []
-    real = semqa.context.antecedents
-    monkeypatch.setattr("semqa.context.antecedents",
-                        lambda ls, lexicon: walked.append(ls) or real(ls, lexicon))
-    t.ingest(pronoun)
-    assert walked == [t.items[-1].ls]
-    assert t.items[-1].ls.left.actor.sense == "r:bill"
+    # a proposition with no embedded clauses is stored as it is, an
+    # embedded clause too; one with them is stored without them
+    shared = {0: props[0], 1: props[1], 2: props[2].embedded[0],
+              4: props[3].embedded[0], 6: props[4]}
+    assert all(t.items[k] is prop for k, prop in shared.items())
+    assert [t.items[3], t.items[5]] == [replace(props[2], embedded=()),
+                                        replace(props[3], embedded=())]
+    assert all(item.embedded == () and item.pronoun is False for item in t.items)
 
 
-def test_a_hand_built_item_with_an_unknown_sense_fails_at_ingest(lex, matcher):
+@pytest.mark.parametrize("pronoun", [True, False])
+def test_a_hand_built_item_with_an_unknown_sense_fails_at_ingest(lex, matcher, pronoun):
+    # a hand-built proposition gets its summary at ingest, whatever its flag says
     went = matcher.parse_single("Mary went to the kitchen.")
     t = make_tracker(lex)
+    t.ingest(Proposition(went.ls, went.operators, pronoun=pronoun))
+    assert t.items[-1].antecedents == went.antecedents and t.items[-1].pronoun is False
     with pytest.raises(LexiconError, match="r:nobody"):
-        t.ingest(Proposition(State("p:be-in", KITCHEN, entity("r:nobody")), went.operators))
-    assert t.items == []
+        t.ingest(Proposition(State("p:be-in", KITCHEN, entity("r:nobody")), went.operators,
+                             pronoun=pronoun))
+    assert len(t.items) == 1
 
 
 class CountingDict(dict):

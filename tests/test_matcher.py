@@ -409,6 +409,10 @@ def test_remembered_referents_keep_the_determiner(lex):
 def test_pronoun_flag(matcher):
     assert parse(matcher, "She went to the kitchen.").pronoun
     assert not parse(matcher, "Mary went to the kitchen.").pronoun
+    # a pronoun conjunct counts, in a statement and in a question
+    assert parse(matcher, "Sandra and he went to the garden.").pronoun
+    assert parse(matcher, "Where are Sandra and he?").pronoun
+    assert not parse(matcher, "Sandra and Daniel went to the garden.").pronoun
     # built by hand, a proposition is taken to hold a pronoun; the flag is
     # derived from the structure, so equality ignores it
     by_hand = Proposition(entity("r:mary"), parse(matcher, "Mary went to the kitchen.").operators)

@@ -13,7 +13,7 @@ from conftest import (
     random_question,
     random_story,
 )
-from semqa.context import have_events
+from semqa.context import have_events, trace_line
 from semqa.matcher import MatchError, tokenize
 from semqa.semantics import OperatorSet, entity, render, unify, walk_referents
 from semqa.nlg import realize_verb_group
@@ -35,7 +35,7 @@ def test_append_only_under_random_operations(lex, matcher):
                     tracker.answer_question(matcher.parse_single(random_question(rng)))
                 except Exception:
                     pass
-            snapshot = [item.trace_line() for item in tracker.items]
+            snapshot = [trace_line(n, item) for n, item in enumerate(tracker.items, 1)]
             if snapshots:
                 assert snapshot[:len(snapshots[-1])] == snapshots[-1]
             snapshots.append(snapshot)
