@@ -193,12 +193,13 @@ class ContextTracker:
     # -- ingestion -------------------------------------------------------
 
     def ingest(self, prop: Proposition):
-        """Append a statement's propositions; embedded clauses go in first,
-        each without embedded clauses of its own."""
+        """Append a statement's propositions, each without embedded
+        clauses of its own: each embedded clause goes in first, after its
+        own (a "no longer" relative clause's past twin)."""
         if prop.operators.force == "question":
             raise ContextError("questions are answered, not ingested")
         for emb in prop.embedded:
-            self._store(emb)
+            self.ingest(emb)
         self._store(prop)
 
     def _store(self, prop: Proposition):

@@ -11,11 +11,11 @@ that knows it.
 
 `load_lexicon` parses and validates every record, selectors, retain
 indices, literal `emit=` senses and `vc=` template names included, checks
-that a sense of every template but `be-state` reaches a selectional
-frame along its entails chain, checks each transfer sense's `dir=`, and
-computes the derived tables (relation index, each `vc=` sense's template
-and frame, is-a closure, entails bases, inflections, position words,
-token classes) once.  The realizer's English comes from two of them:
+that every `vc=` sense reaches a selectional frame along its entails
+chain, checks each transfer sense's `dir=`, and computes the derived
+tables (relation index, each `vc=` sense's template and frame, is-a
+closure, entails bases, inflections, position words, token classes)
+once.  The realizer's English comes from two of them:
 `inflect` picks a sense's form by tense and agreement cell or by
 nonfinite slot, first in file order, and `position_words` gives a
 positional predicate's preposition, the first form of the sense whose
@@ -55,7 +55,8 @@ from .errors import SemqaError
 
 CATEGORIES = ("referent", "predicate", "modifier")
 RELATION_KINDS = ("is-a", "has-a", "entails", "does-x-actor", "does-x-undergoer")
-ROLE_NAMES = ("actor", "undergoer", "destination", "source", "recipient")
+ROLE_NAMES = ("actor", "undergoer", "destination", "source", "recipient", "located",
+              "position")
 # spatial dimensionality class -> the positional predicate it picks; the
 # one copy of this mapping, and each class a sense carries needs a position word
 DIMENSIONALITY = {"enclosure": "p:be-in", "surface": "p:be-on", "locale": "p:be-at"}
@@ -70,8 +71,6 @@ POS_TAGS = frozenset({"noun", "verb", "adjective", "adverb"})
 SELECTOR_KEYS = ("word", "sense", "not-sense", "cat", "reach", "attr", "not-attr", "any")
 # `vc=` template names; the matcher builds one logical structure per name
 TEMPLATES = frozenset({"be-state", "have-state", "motion", "transfer", "activity"})
-# templates whose roles are linked through the predicate's selectional frame
-FRAME_TEMPLATES = TEMPLATES - {"be-state"}
 
 
 class LexiconError(SemqaError):
@@ -175,7 +174,7 @@ class Lexicon:
         self.frames: dict[str, SelectionalFrame] = {}
         self.phrase_records: list[PhraseRecord] = []
         # predicate sense with vc= -> (template, frame along its entails chain)
-        self.templates: dict[str, tuple[str, SelectionalFrame | None]] = {}
+        self.templates: dict[str, tuple[str, SelectionalFrame]] = {}
         # (source, relation kind) -> targets, in record order
         self._rel_index: dict[tuple[str, str], list[str]] = {}
         # sense -> every sense it reaches via zero or more is-a edges
@@ -372,7 +371,7 @@ class Lexicon:
                 raise LexiconError(f"bad transfer direction {direction!r} in dir= of "
                                    f"{sense.id!r}; expected to or from", line)
             frame = self.frame_for(sense.id)
-            if vc in FRAME_TEMPLATES and frame is None:
+            if frame is None:
                 raise LexiconError(f"{sense.id!r} has vc={vc} but no selectional frame "
                                    "along its entails chain", line)
             self.templates[sense.id] = (vc, frame)

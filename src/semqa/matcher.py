@@ -8,10 +8,10 @@ logical structure: each candidate sense of the main predicate is cast
 through the template its `vc=` attribute names, enforcing the
 completeness constraint and selecting word senses by selectional fit
 (with a qualia retry for associations like car has-a engine).  Every
-template but `be-state` links its roles through one path that reads the
-sense's selectional frame.  A clause
-yields exactly one proposition; when no reading survives, or more than
-one distinct reading does, the sentence fails.
+template links its roles through one path that reads the sense's
+selectional frame; the copula's frame names the located referent and
+its position.  A clause yields exactly one proposition; when no reading
+survives, or more than one distinct reading does, the sentence fails.
 
 The matcher applies the lexicon's `PhraseRecord`s as they stand: the
 loader has already parsed every selector into a `Selector` record and
@@ -684,40 +684,8 @@ class Matcher:
             consumed.add(id(el))
 
         subject = pre_refs[-1] if pre_refs else None
-
-        if template == "be-state":
-            located = None
-            for el in pre_refs + post_refs:
-                if not el.is_query():
-                    located = el
-                    break
-            if located is None:
-                # "Who is in the kitchen?" locates the question slot itself
-                for el in pre_refs + post_refs:
-                    if el.is_query() and self._referent_of(el).focus != "where":
-                        located = el
-                        break
-            if located is None:
-                raise CompletenessError("no referent to locate")
-            consume("located", located)
-            pos_el = labeled.get("position")
-            where_el = next((el for el in pre_refs + post_refs
-                             if el.is_query() and "where" == self._referent_of(el).focus),
-                            None)
-            if pos_el is not None:
-                consume("position", pos_el)
-                state_pred = pos_el.attr("pos") or "p:be-LOC"
-                ls = build_state(lex, state_pred, self._referent_of(pos_el),
-                                 roles["located"])
-            elif where_el is not None:
-                consume("position", where_el)
-                ls = build_state(lex, "p:be-LOC", roles["position"], roles["located"])
-            else:
-                raise MeaninglessError("copula clause has no position to predicate")
-            return ls, roles, consumed
-
-        # frame-driven linking for every other template; the loader
-        # guarantees these senses a frame
+        # one linking path for every template: the loader gives each
+        # `vc=` sense a frame
         open_roles = [r.name for r in frame.roles]
 
         if ops.voice == "passive":
@@ -732,9 +700,9 @@ class Matcher:
                 consume("actor", subject)
                 open_roles.remove("actor")
 
-        for label in ("destination", "recipient", "source"):
-            if label in labeled and label in open_roles:
-                consume(label, labeled[label])
+        for label, el in labeled.items():
+            if label in open_roles:
+                consume(label, el)
                 open_roles.remove(label)
 
         pool = [el for el in pre_refs + post_refs if id(el) not in consumed]
@@ -811,6 +779,19 @@ class Matcher:
                                     counterparty, causative, direction)
         elif template == "have-state":
             ls = build_state(lex, HAVE_PRED, roles["actor"], roles["undergoer"])
+        elif template == "be-state":
+            # the position is a position phrase's place or a where slot; a
+            # where slot asks for a position, never for what is located
+            position, located = roles["position"], roles["located"]
+            if located.focus == "where":
+                raise CompletenessError("no referent to locate")
+            if "position" in labeled:
+                pred = labeled["position"].attr("pos") or "p:be-LOC"
+            elif position.focus == "where":
+                pred = "p:be-LOC"
+            else:
+                raise MeaninglessError("copula clause has no position to predicate")
+            ls = build_state(lex, pred, position, located)
         else:   # "activity", the last of the names the loader admits
             ls = Activity(roles["actor"], sense_id, roles.get("undergoer"))
         return ls, roles, consumed

@@ -51,6 +51,18 @@ def test_embedded_clause_ingested_first(lex, matcher):
     assert "the garden" in render(t.items[1].ls)
 
 
+def test_a_no_longer_relative_clause_keeps_its_past_half(lex, matcher):
+    t = ingest_all(matcher, make_tracker(lex),
+                   ["Sandra who is no longer in the kitchen went to the garden."])
+    assert [trace_line(n, item).partition(" :: ")[0] for n, item in enumerate(t.items, 1)] == [
+        "#1 [past] be-in'(the kitchen,sandra)",
+        "#2 [present,negative] be-in'(the kitchen,sandra)",
+        "#3 [past] do'(sandra,[go'(sandra)]) & INGR be-in'(the garden,sandra)"]
+    assert all(item.embedded == () for item in t.items)
+    assert answer(matcher, t, "Was Sandra in the kitchen?").polarity == "yes"
+    assert answer(matcher, t, "Is Sandra in the kitchen?").polarity == "no"
+
+
 def test_ingest_is_append_only(lex, matcher):
     t = make_tracker(lex)
     snapshots = []

@@ -313,12 +313,16 @@ def test_predication_record_kind_is_gone():
         load_lexicon(doc)
 
 
-def test_frame_driven_sense_needs_a_frame_at_load():
+@pytest.mark.parametrize("frame, sense, vc", [
     # p:move, p:travel and p:journey lose it too; p:go's line comes first
+    ("frame p:go actor:r:animal!required destination:r:location!required\n", "p:go", "motion"),
+    ("frame p:be located:referent!required position:r:location!required\n", "p:be", "be-state"),
+], ids=["p:go", "p:be"])
+def test_frame_driven_sense_needs_a_frame_at_load(frame, sense, vc):
     text = semqa.core_lexicon_text()
-    frame = "frame p:go actor:r:animal!required destination:r:location!required\n"
-    lineno = _line_of(text, "sense p:go ")
-    with pytest.raises(LexiconError, match=f"line {lineno}: 'p:go' has vc=motion "
+    assert frame in text
+    lineno = _line_of(text, f"sense {sense} ")
+    with pytest.raises(LexiconError, match=f"line {lineno}: '{sense}' has vc={vc} "
                                            "but no selectional frame"):
         load_lexicon(text.replace(frame, ""))
 
@@ -328,8 +332,9 @@ def test_templates_are_compiled_at_load(lex):
     assert with_vc and lex.templates.keys() == with_vc
     for sid in with_vc:
         assert lex.templates[sid] == (lex.sense(sid).attr("vc"), lex.frame_for(sid))
-    tiny = load_lexicon('sense p:be predicate {vc=be-state} "exist"\n')
-    assert tiny.templates == {"p:be": ("be-state", None)}
+    tiny = load_lexicon('sense p:be predicate {vc=be-state} "exist"\n'
+                        'frame p:be located:referent\n')
+    assert tiny.templates == {"p:be": ("be-state", tiny.frames["p:be"])}
 
 
 def test_every_template_is_used_by_the_core_lexicon(lex):

@@ -214,6 +214,95 @@ def test_sentence_outcomes(matcher, text, outcome):
             parse(matcher, text)
 
 
+# -- the copula ----------------------------------------------------------------
+
+def reading(matcher, text) -> str:
+    """Each clause of the text's proposition, embedded ones first, as its
+    tense, polarity and aspect and its rendered logical structure."""
+    prop = parse(matcher, text)
+    clauses = []
+    for p in (*prop.embedded, prop):
+        ops = p.operators
+        aspect = ",progressive" * ops.progressive + ",perfect" * ops.perfect
+        clauses.append(f"[{ops.tense},{ops.polarity}{aspect}] {render(p.ls)}")
+    return " / ".join(clauses)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    # where, who and polar questions
+    ("Where is Mary?", "[present,positive] be-LOC'(Where,mary)"),
+    ("Where was the milk?", "[past,positive] be-LOC'(Where,the milk)"),
+    ("Who is in the kitchen?", "[present,positive] be-in'(the kitchen,Who)"),
+    ("Who was in the garden?", "[past,positive] be-in'(the garden,Who)"),
+    ("Who is where?", "[present,positive] be-LOC'(Where,Who)"),
+    ("Is Mary in the kitchen?", "[present,positive] be-in'(the kitchen,mary)"),
+    ("Was Sandra in the office?", "[past,positive] be-in'(the office,sandra)"),
+    ("Mary is where?", "[present,positive] be-LOC'(Where,mary)"),
+    # the located referent takes the frame's first role it fits
+    ("The kitchen is where?", "[present,positive] be-LOC'(Where,the kitchen)"),
+    # each position phrase names its positional predicate
+    ("Mary is in the kitchen.", "[present,positive] be-in'(the kitchen,mary)"),
+    ("Mary is on the mat.", "[present,positive] be-on'(the mat,mary)"),
+    ("Mary is at the office.", "[present,positive] be-at'(the office,mary)"),
+    ("In the kitchen is Mary.", "[present,positive] be-in'(the kitchen,mary)"),
+    ("In the kitchen.", "[present,positive] be-in'(the kitchen,0)"),
+    # bundle and pronoun subjects
+    ("Where are Mary and John?", "[present,positive] be-LOC'(Where,mary and john)"),
+    ("Mary and John are in the garden.", "[present,positive] be-in'(the garden,mary and john)"),
+    ("The man and the woman were in the hallway.",
+     "[past,positive] be-in'(the hallway,man and woman)"),
+    ("Where is he?", "[present,positive] be-LOC'(Where,he)"),
+    ("Where were they?", "[past,positive] be-LOC'(Where,they)"),
+    ("She is in the kitchen.", "[present,positive] be-in'(the kitchen,she)"),
+    ("Mary and he are in the kitchen.", "[present,positive] be-in'(the kitchen,mary and he)"),
+    # "no longer", aspect and the future
+    ("Mary is no longer in the kitchen.",
+     "[past,positive] be-in'(the kitchen,mary) / [present,negative] be-in'(the kitchen,mary)"),
+    ("Mary is being in the kitchen.", "[present,positive,progressive] be-in'(the kitchen,mary)"),
+    ("Mary has been in the kitchen.", "[present,positive,perfect] be-in'(the kitchen,mary)"),
+    ("Mary will be in the kitchen.", "[future,positive] be-in'(the kitchen,mary)"),
+    # relative clauses, the copula inside and outside
+    ("Mary who is in the kitchen went to the garden.",
+     "[present,positive] be-in'(the kitchen,mary)"
+     " / [past,positive] do'(mary,[go'(mary)]) & INGR be-in'(the garden,mary)"),
+    ("Sandra who is no longer in the kitchen went to the garden.",
+     "[present,negative] be-in'(the kitchen,sandra)"
+     " / [past,positive] do'(sandra,[go'(sandra)]) & INGR be-in'(the garden,sandra)"),
+    ("Mary who went to the kitchen is in the garden.",
+     "[past,positive] do'(mary,[go'(mary)]) & INGR be-in'(the kitchen,mary)"
+     " / [present,positive] be-in'(the garden,mary)"),
+    ("Mary who went to the kitchen is no longer in the garden.",
+     "[past,positive] do'(mary,[go'(mary)]) & INGR be-in'(the kitchen,mary)"
+     " / [past,positive] be-in'(the garden,mary) / [present,negative] be-in'(the garden,mary)"),
+    # no position to predicate, nothing to locate, or a referent left over
+    ("Mary is the kitchen.", MeaninglessError),
+    ("Mary is John.", MeaninglessError),
+    ("Mary is.", MeaninglessError),
+    ("Is Mary?", MeaninglessError),
+    ("Where is?", MeaninglessError),
+    ("Where is the kitchen Mary?", MeaninglessError),
+    ("Mary is in the kitchen the garden.", MeaninglessError),
+    ("Where is Mary in the kitchen?", MeaninglessError),
+    # a where slot asks for the position, never for what is located
+    ("Where is where?", MeaninglessError),
+    ("Where is in the kitchen?", MeaninglessError),
+    ("Is where in the kitchen?", MeaninglessError),
+])
+def test_copula_outcomes(matcher, text, outcome):
+    if isinstance(outcome, str):
+        assert reading(matcher, text) == outcome
+    else:
+        with pytest.raises(outcome):
+            parse(matcher, text)
+
+
+def test_a_where_slot_before_a_who_slot_fails(matcher):
+    # the where slot, first of two question words, takes the located role,
+    # and `who` is no place; "Who is where?" reads be-LOC'(Where,Who)
+    with pytest.raises(MeaninglessError, match="required role 'position'"):
+        parse(matcher, "Where is who?")
+
+
 # -- full pipeline -----------------------------------------------------------
 
 def test_embedded_clause_precedes_host(matcher):

@@ -45,6 +45,28 @@ REPEATS = (
     "Mary went to the kitchen. Mary",
 )
 
+# the copula, which links its located referent and position through its frame
+COPULA = (
+    "Where is Mary?",
+    "Where are Mary and John?",
+    "Where were they?",
+    "Who is in the kitchen?",
+    "Who is where?",
+    "The kitchen is where?",
+    "Mary is on the mat.",
+    "In the kitchen is Mary.",
+    "Mary and he are in the kitchen.",
+    "Mary has been in the kitchen.",
+    "Mary is being in the kitchen.",
+    "Sandra who is no longer in the kitchen went to the garden.",
+    "Mary who went to the kitchen is no longer in the garden.",
+    "Mary is the kitchen.",
+    "Mary is John.",
+    "Mary is.",
+    "Where is in the kitchen?",
+    "Where is who?",
+)
+
 
 class CountingMatcher(Matcher):
     """A matcher that counts its cold parses."""
@@ -117,7 +139,7 @@ def oracle_sentences(lex) -> list[str]:
         ops = OperatorSet(tense=tense, perfect=perfect, progressive=progressive,
                           voice=voice, polarity=polarity)
         texts.append("Mary " + realize_verb_group(ops, "p:give", lex) + " the milk to John.")
-    texts.extend(REPEATS)
+    texts.extend(REPEATS + COPULA)
     return list(dict.fromkeys(texts))
 
 
