@@ -171,7 +171,7 @@ def run_task(stories: list[list[BabiRecord]], lexicon: Lexicon,
                     prop = matcher.parse_single(rec.text)
                     tracker.ingest(prop)
                 except SemqaError as exc:           # engine error; report on questions
-                    broken = f"{type(exc).__name__}: {exc}"
+                    broken = f"line {rec.line_id}: {type(exc).__name__}: {exc}"
                 continue
             result = RunResult(story_id, rec.line_id, rec.text,
                                rec.expected or "", "", "failed",

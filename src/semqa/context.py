@@ -24,17 +24,19 @@ collects the resolved structure's summary on the way.
 
 Questions intersect the stored items against their own logical
 structure: present-tense position questions return the latest
-still-valid element, past tense returns the list, which a past-tense
-polar question also asks; a bundle was where all its members were at
-once.  Possession questions replay the have' ledger, one row per object:
-the item of its latest gain, or None once lost.  Transfer questions
-collect every matching item in context order (`latest_match` keeps only
-the last, as the bAbI datasets expect).
+still-valid element, past tense returns the list; a bundle was where all
+its members were at once.  Possession questions replay the have' ledger,
+one row per object: the item of its latest gain, or None once lost.
+Transfer questions collect every matching item in context order
+(`latest_match` keeps only the last, as the bAbI datasets expect).  "Who
+is in X?" folds every located entity's current position in one pass.
 
-A question reads the items in one pass, or two for a present-tense polar
-"no", never once per entity: the contrast of that "no" ("No, but Mary
-is.") and "Who is in X?" take every located entity's current position
-from one fold over the items.
+A polar question is its content twin plus a membership test: yes when
+the twin, answered by the one method for its view, binds the asked
+value.  "Is / Was Mary in the kitchen?" asks "Where is / was Mary?" and,
+on a present-tense "no", "Who is in the kitchen?" for a contrast ("No,
+but John is."); "Does Mary have the milk?" asks "What is Mary holding?";
+any other polar question keeps the items a transfer question matches.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .semantics import (
     bundle,
     map_referents,
     note_antecedent,
+    query,
     referent_matches,
     render,
     unify,
@@ -67,6 +70,7 @@ from .semantics import (
 
 # positional predicates, the unresolved be-LOC of a question included
 _POSITION_PREDS = POSITION_PREDS | {ANY_POSITION_PRED}
+_WHAT = query("what")
 
 
 class ContextError(SemqaError):
@@ -401,48 +405,43 @@ class ContextTracker:
             echo=ops, topic=entity, support=[e.index for e in entries])
 
     def _answer_polar(self, ls, ops: OperatorSet) -> AnswerContent:
-        if isinstance(ls, State) and ls.pred in _POSITION_PREDS:
-            entity = ls.arg2
-            if ops.tense == "past":
-                # the locations "Where was X?" lists; a "no" names no contrast
-                cur = next((e for e in self.past_positions(entity)
-                            if _same_location(e.state, ls)), None)
-                yes = cur is not None
-            else:
-                cur = self.current_position(entity)
-                yes = cur is not None and _same_location(cur.state, ls)
-            contrast = None
-            support = [cur.index] if cur else []
-            if not yes and ops.tense != "past":
-                for other, other_cur in self._located_positions():
-                    if referent_matches(other, entity):    # the asked one, or its member
-                        continue
-                    if other_cur is not None and _same_location(other_cur.state, ls):
-                        contrast = other
-                        support.append(other_cur.index)
-                        break
-            return AnswerContent(
-                "polar", polarity="yes" if yes else "no",
-                bindings=[_position_value(cur.state)] if yes else [],
-                echo=ops, topic=entity, contrast=contrast, support=support,
-                item_tense=cur.tense if cur else None)
+        """Yes when the content twin binds the asked value (see the module
+        docstring).  A position answer cites the asked entity's current
+        position, even on a "no", or in the past tense the matching place;
+        only its "yes" carries a binding."""
         if isinstance(ls, State) and ls.pred == HAVE_PRED:
-            held = {obj.sense for obj, _ in self.held_now(ls.arg1)}
-            yes = ls.arg2.sense in held
+            held = self._answer_held(State(HAVE_PRED, ls.arg1, _WHAT), ops, "list")
+            yes = any(obj.sense == ls.arg2.sense for obj in held.bindings)
             return AnswerContent("polar", polarity="yes" if yes else "no",
                                  echo=ops, topic=ls.arg1, aux_hint="do")
-        events = self._receive_events(ls)
-        if events is not None:
-            yes = bool(events)
-            topic = next(iter(walk_referents(ls)), None)
-            return AnswerContent("polar", polarity="yes" if yes else "no",
-                                 echo=ops, topic=topic, aux_hint="do",
-                                 support=[e.index for e in events])
-        matched = [n for n, item in enumerate(self.items, 1)
-                   if unify(ls, item.ls, self.lexicon) is not None]
-        topic = next(iter(walk_referents(ls)), None)
-        return AnswerContent("polar", polarity="yes" if matched else "no",
-                             echo=ops, topic=topic, aux_hint="do", support=matched)
+        if not (isinstance(ls, State) and ls.pred in _POSITION_PREDS):
+            matched = self._answer_transfer(ls, ops, None).support
+            return AnswerContent("polar", polarity="yes" if matched else "no",
+                                 echo=ops, topic=next(iter(walk_referents(ls)), None),
+                                 aux_hint="do", support=matched)
+        where = self._answer_where(ls, ops)
+        hit = None
+        for b, n in zip(where.bindings, where.support):
+            if _same_location(b, ls):
+                hit = b, n
+                break
+        contrast = None
+        if ops.tense == "past":
+            support = [hit[1]] if hit else []
+            item_tense = self.items[hit[1] - 1].operators.tense if hit else None
+        else:
+            support, item_tense = where.support, where.item_tense
+            if hit is None:
+                who = self._answer_who_position(ls, ops)
+                for ref, n in zip(who.bindings, who.support):
+                    if not referent_matches(ref, ls.arg2):    # the asked one, or its member
+                        contrast = ref
+                        support.append(n)
+                        break
+        return AnswerContent(
+            "polar", polarity="yes" if hit else "no", bindings=[hit[0]] if hit else [],
+            echo=ops, topic=where.topic, contrast=contrast, support=support,
+            item_tense=item_tense)
 
     def _answer_who_position(self, ls: State, ops: OperatorSet) -> AnswerContent:
         """Entities whose current position matches the queried location."""
@@ -485,7 +484,7 @@ class ContextTracker:
                     found.append(ev)
         return found
 
-    def _answer_transfer(self, ls, ops: OperatorSet, focus: str) -> AnswerContent:
+    def _answer_transfer(self, ls, ops: OperatorSet, focus: str | None) -> AnswerContent:
         receive = self._receive_events(ls)
         bindings: list[Referent] = []
         support: list[int] = []
@@ -500,7 +499,7 @@ class ContextTracker:
                 if result is None:
                     continue
                 value = result.get(focus)
-                if isinstance(value, Referent):
+                if isinstance(value, Referent) or focus is None:   # polar: cite every match
                     bindings.append(value)
                     support.append(n)
         topic = next((r for r in walk_referents(ls)

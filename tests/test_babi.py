@@ -218,6 +218,7 @@ def test_statements_after_a_failed_one_are_skipped(lex):
     [result] = run_task(parse_babi_file(doc), lex, TaskConfig())
     assert result.status == "failed"
     assert result.produced == f"<error: {result.explanation}>"
+    assert result.explanation.startswith("line 1: MatchError: ")
 
 
 def test_unmatched_question_is_an_unclassified_gap(lex):

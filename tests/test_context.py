@@ -740,6 +740,57 @@ def test_strict_receive_denies_a_self_acquisition_on_a_polar_question(lex, match
     assert answer(matcher, t, "Did John receive the milk?").polarity == "yes"
 
 
+def _cited(twin, keep):
+    """The content twin's (binding, item) pairs whose binding `keep` accepts."""
+    return [(b, n) for b, n in zip(twin.bindings, twin.support) if keep(b)]
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_a_polar_answer_is_membership_in_its_content_twin(lex, matcher, synth, data):
+    """Synthetic stories with bundles, negatives and transfers, under every
+    query config: a polar question says yes exactly when its content twin,
+    asked as a sentence, binds the asked value, and cites that binding's
+    item; a present-tense "no" names as its contrast the first entity
+    "Who is in P?" binds that is not the asked one."""
+    t = make_tracker(lex, strict_receive=data.draw(st.booleans()),
+                     include_current_position=data.draw(st.booleans()))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    w = synth.World()
+    for _ in range(data.draw(st.integers(1, 30))):
+        text = synth.gen_location(rng, w) if w.position and rng.random() < 0.2 \
+            else synth.mixed_statement(rng, w)
+        t.ingest(matcher.parse_single(text))
+    p, q = (n.capitalize() for n in data.draw(st.permutations(synth.PEOPLE))[:2])
+    place = data.draw(st.sampled_from(synth.PLACES))
+    thing = data.draw(st.sampled_from(synth.THINGS))
+
+    for names, forms in (([p], ("Is", "Was")), ([p, q], ("Are", "Were"))):
+        who = " and ".join(names)
+        for be in forms:
+            polar = answer(matcher, t, f"{be} {who} in the {place}?")
+            hits = _cited(answer(matcher, t, f"Where {be.lower()} {who}?"),
+                          lambda b: b.arg1.sense == f"r:{place}")
+            assert polar.polarity == ("yes" if hits else "no")
+            assert list(zip(polar.bindings, polar.support)) == hits[:1]
+            others = [] if hits or be in ("Was", "Were") else [
+                r for r in answer(matcher, t, f"Who is in the {place}?").bindings
+                if r.sense not in {f"r:{n.lower()}" for n in names}]
+            assert polar.contrast == (others[0] if others else None)
+
+    polar = answer(matcher, t, f"Does {p} have the {thing}?")
+    held = answer(matcher, t, f"What is {p} holding?")
+    assert polar.polarity == ("yes" if any(b.sense == f"r:{thing}" for b in held.bindings)
+                              else "no")
+    assert (polar.bindings, polar.support) == ([], [])
+
+    polar = answer(matcher, t, f"Did {p} receive the {thing}?")
+    hits = _cited(answer(matcher, t, f"What did {p} receive?"),
+                  lambda b: b.sense == f"r:{thing}")
+    assert polar.polarity == ("yes" if hits else "no")
+    assert (polar.bindings, polar.support) == ([], [n for _, n in hits])
+
+
 # -- one pass per question, shared structures, no cyclic garbage ----------------
 
 def _mixed_tracker(lex, matcher, synth, seed, statements, locations=False):

@@ -24,19 +24,24 @@ from __future__ import annotations
 
 import difflib
 import itertools
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import semqa
 from semqa.babi import TaskConfig, parse_babi_file, run_task
 from semqa.context import ContextTracker, QueryConfig
+from semqa.errors import SemqaError
 from semqa.matcher import Matcher
 from semqa.nlg import RealizationRequest, realize_answer
 from semqa.semantics import render
 
 from conftest import synthetic_stories
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "engine_snapshot.txt"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden" / "engine_snapshot.txt"
 SYNTHETIC_TASKS = (1, 5, 6, 7, 8, 9, 11, 12, 13)
 SYNTHETIC_STORIES = 3
 
@@ -61,7 +66,7 @@ def synthetic_sets():
            [story for story, q in zip(stories, asked) if q.injected])
 
 
-def _error(exc: Exception) -> str:
+def _error(exc: SemqaError) -> str:
     return f"! {type(exc).__name__}: {exc}"
 
 
@@ -73,7 +78,7 @@ def snapshot_story(lex, matcher, story, results) -> list[str]:
         if not rec.is_question:
             try:
                 tracker.ingest(matcher.parse_single(rec.text))
-            except Exception as exc:
+            except SemqaError as exc:
                 lines.append(f"  statement {rec.line_id}: {_error(exc)}")
             continue
         r = next(results)
@@ -93,7 +98,7 @@ def snapshot_story(lex, matcher, story, results) -> list[str]:
                          + f" support={content.support}")
             lines.append("    natural: " + realize_answer(
                 RealizationRequest(content, mode="natural"), lex))
-        except Exception as exc:
+        except SemqaError as exc:
             lines.append(f"    repl: {_error(exc)}")
     return ["  trace:"] + ["    " + t for t in tracker.trace().splitlines()] + lines
 
@@ -120,6 +125,24 @@ def test_engine_output_matches_golden_snapshot(lex):
                                     "golden snapshot", "engine output", lineterm="")
         raise AssertionError("engine output differs from the golden snapshot:\n"
                              + "\n".join(itertools.islice(diff, 200)))
+
+
+def test_snapshot_does_not_depend_on_the_hash_seed():
+    """Set and dict order must not leak into the output: the snapshot built
+    under two fixed string hash seeds, in fresh interpreters, is the golden."""
+    script = ("import sys, semqa, test_golden\n"
+              "sys.stdout.buffer.write(test_golden.build_snapshot("
+              "semqa.load_core_lexicon()).encode('utf-8'))")
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path,
+                                      PYTHONDONTWRITEBYTECODE="1"))
+            for seed in ("0", "12345")]
+    expected = GOLDEN.read_bytes()
+    for run in runs:
+        out, _ = run.communicate()
+        assert run.returncode == 0
+        assert out == expected
 
 
 if __name__ == "__main__":

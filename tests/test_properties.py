@@ -14,6 +14,7 @@ from conftest import (
     random_story,
 )
 from semqa.context import have_events, trace_line
+from semqa.errors import SemqaError
 from semqa.matcher import MatchError, tokenize
 from semqa.semantics import OperatorSet, entity, render, unify, walk_referents
 from semqa.nlg import realize_verb_group
@@ -33,7 +34,7 @@ def test_append_only_under_random_operations(lex, matcher):
             else:
                 try:
                     tracker.answer_question(matcher.parse_single(random_question(rng)))
-                except Exception:
+                except SemqaError:
                     pass
             snapshot = [trace_line(n, item) for n, item in enumerate(tracker.items, 1)]
             if snapshots:
@@ -53,7 +54,7 @@ def check_intersection_soundness(lex, matcher, cases: int, seed: int = 202):
         prop = matcher.parse_single(question)
         try:
             content = tracker.answer_question(prop)
-        except Exception:
+        except SemqaError:
             continue
         # a negative polar answer's support is counter-evidence (the entity's
         # actual position); the soundness claim is about bindings
