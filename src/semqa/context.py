@@ -33,8 +33,9 @@ is in X?" folds every located entity's current position in one pass.
 
 A polar question is its content twin plus a membership test: yes when
 the twin, answered by the one method for its view, binds the asked
-value.  "Is / Was Mary in the kitchen?" asks "Where is / was Mary?" and,
-on a present-tense "no", "Who is in the kitchen?" for a contrast ("No,
+value.  "Is Mary in the kitchen?" (or "Will Mary be ...?") asks "Where is
+Mary?", "Was Mary in the kitchen?" asks "Where was Mary?", and a "no"
+that is not past asks "Who is in the kitchen?" for a contrast ("No,
 but John is."); "Does Mary have the milk?" asks "What is Mary holding?";
 any other polar question keeps the items a transfer question matches.
 """
@@ -419,12 +420,10 @@ class ContextTracker:
             return AnswerContent("polar", polarity="yes" if matched else "no",
                                  echo=ops, topic=next(iter(walk_referents(ls)), None),
                                  aux_hint="do", support=matched)
-        where = self._answer_where(ls, ops)
-        hit = None
-        for b, n in zip(where.bindings, where.support):
-            if _same_location(b, ls):
-                hit = b, n
-                break
+        where = self._answer_where(
+            ls, ops if ops.tense in ("past", "present") else ops.with_(tense="present"))
+        hit = next(((b, n) for b, n in zip(where.bindings, where.support)
+                    if _same_location(b, ls)), None)
         contrast = None
         if ops.tense == "past":
             support = [hit[1]] if hit else []
@@ -499,8 +498,9 @@ class ContextTracker:
                 if result is None:
                     continue
                 value = result.get(focus)
-                if isinstance(value, Referent) or focus is None:   # polar: cite every match
+                if isinstance(value, Referent):
                     bindings.append(value)
+                if isinstance(value, Referent) or focus is None:   # polar: cite every match
                     support.append(n)
         topic = next((r for r in walk_referents(ls)
                       if r.kind in ("entity", "bundle")), None)

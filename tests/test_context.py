@@ -719,6 +719,11 @@ PASSIVE_GIVE = ["The milk was given to Mary."]   # the giver is left unspecified
     (["Jeff ate the cake."], "Did Jeff eat the apple?", "no"),
     (["Jeff read."], "Did Jeff read the book?", "no"),
     (["Bill gave the milk to Jeff.", "Jeff ate the apple."], "Did Jeff eat the apple?", "yes"),
+    # a future position question asks where the entity is now
+    (["Mary went to the kitchen.", "Mary went to the garden."],
+     "Will Mary be in the kitchen?", "no"),
+    (["Mary went to the kitchen.", "Mary went to the garden."],
+     "Will Mary be in the garden?", "yes"),
 ])
 def test_story_answer_or_typed_error(lex, matcher, story, question, expected):
     def keyword_answer():
@@ -751,8 +756,9 @@ def test_a_polar_answer_is_membership_in_its_content_twin(lex, matcher, synth, d
     """Synthetic stories with bundles, negatives and transfers, under every
     query config: a polar question says yes exactly when its content twin,
     asked as a sentence, binds the asked value, and cites that binding's
-    item; a present-tense "no" names as its contrast the first entity
-    "Who is in P?" binds that is not the asked one."""
+    item; a future question's twin is the present one; a present- or
+    future-tense "no" names as its contrast the first entity "Who is in
+    P?" binds that is not the asked one."""
     t = make_tracker(lex, strict_receive=data.draw(st.booleans()),
                      include_current_position=data.draw(st.booleans()))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
@@ -765,15 +771,18 @@ def test_a_polar_answer_is_membership_in_its_content_twin(lex, matcher, synth, d
     place = data.draw(st.sampled_from(synth.PLACES))
     thing = data.draw(st.sampled_from(synth.THINGS))
 
-    for names, forms in (([p], ("Is", "Was")), ([p, q], ("Are", "Were"))):
+    for names, (now, then) in (([p], ("is", "was")), ([p, q], ("are", "were"))):
         who = " and ".join(names)
-        for be in forms:
-            polar = answer(matcher, t, f"{be} {who} in the {place}?")
-            hits = _cited(answer(matcher, t, f"Where {be.lower()} {who}?"),
+        # a future question asks where the entity is now
+        for polar_text, be in ((f"{now.capitalize()} {who} in the {place}?", now),
+                               (f"{then.capitalize()} {who} in the {place}?", then),
+                               (f"Will {who} be in the {place}?", now)):
+            polar = answer(matcher, t, polar_text)
+            hits = _cited(answer(matcher, t, f"Where {be} {who}?"),
                           lambda b: b.arg1.sense == f"r:{place}")
             assert polar.polarity == ("yes" if hits else "no")
             assert list(zip(polar.bindings, polar.support)) == hits[:1]
-            others = [] if hits or be in ("Was", "Were") else [
+            others = [] if hits or be in ("was", "were") else [
                 r for r in answer(matcher, t, f"Who is in the {place}?").bindings
                 if r.sense not in {f"r:{n.lower()}" for n in names}]
             assert polar.contrast == (others[0] if others else None)
