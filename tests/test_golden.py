@@ -23,6 +23,7 @@ and review the diff.
 from __future__ import annotations
 
 import difflib
+import hashlib
 import itertools
 import os
 import subprocess
@@ -42,6 +43,7 @@ from conftest import synthetic_stories
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden" / "engine_snapshot.txt"
+PARSES = TESTS / "golden" / "parses.txt"    # see test_parse_snapshot.py
 SYNTHETIC_TASKS = (1, 5, 6, 7, 8, 9, 11, 12, 13)
 SYNTHETIC_STORIES = 3
 
@@ -128,17 +130,21 @@ def test_engine_output_matches_golden_snapshot(lex):
 
 
 def test_snapshot_does_not_depend_on_the_hash_seed():
-    """Set and dict order must not leak into the output: the snapshot built
-    under two fixed string hash seeds, in fresh interpreters, is the golden."""
-    script = ("import sys, semqa, test_golden\n"
-              "sys.stdout.buffer.write(test_golden.build_snapshot("
-              "semqa.load_core_lexicon()).encode('utf-8'))")
+    """Set and dict order must not leak into the output: the engine and
+    parse snapshots, built under two fixed string hash seeds in fresh
+    interpreters, have the digests of their goldens."""
+    script = ("import hashlib, semqa, test_golden, test_parse_snapshot\n"
+              "lex = semqa.load_core_lexicon()\n"
+              "for text in (test_golden.build_snapshot(lex),\n"
+              "             test_parse_snapshot.build_parse_snapshot(lex)):\n"
+              "    print(hashlib.sha256(text.encode('utf-8')).hexdigest())")
     path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
     runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path,
                                       PYTHONDONTWRITEBYTECODE="1"))
             for seed in ("0", "12345")]
-    expected = GOLDEN.read_bytes()
+    expected = "".join(hashlib.sha256(golden.read_bytes()).hexdigest() + "\n"
+                       for golden in (GOLDEN, PARSES)).encode()
     for run in runs:
         out, _ = run.communicate()
         assert run.returncode == 0
