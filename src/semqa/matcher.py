@@ -755,15 +755,19 @@ class Matcher:
             if not self._fits(ref, frame.role(name).category):
                 raise MeaninglessError(
                     f"{ref.head()} does not fit role {name!r} of {sense_id!r}")
+        # a destination or position is one place: a question slot, or an
+        # entity whose sense has a dimensionality class
+        for name in ("destination", "position"):
+            place = roles.get(name)
+            if place is not None and not place.is_query and (
+                    place.kind != "entity" or lex.dimensionality_of(place.sense) is None):
+                raise MeaninglessError(f"{name} {place.head()} is not one place")
 
         if ({"wants-up", "wants-down"} & sense.attributes
                 and "particle-done" not in verb.attributes):
             raise MeaninglessError(f"{sense_id!r} needs its particle")
 
         if template == "motion":
-            if roles["destination"].kind == "bundle":
-                raise MeaninglessError(
-                    f"destination {roles['destination'].head()} is not one place")
             ls = build_active_achievement(lex, roles["actor"], sense_id,
                                           roles["destination"])
         elif template == "transfer":
