@@ -7,11 +7,19 @@ Predication then converts the consolidated clause into one disambiguated
 logical structure: each candidate sense of the main predicate is cast
 through the template its `vc=` attribute names, enforcing the
 completeness constraint and selecting word senses by selectional fit
-(with a qualia retry for associations like car has-a engine).  Every
-template links its roles through one path that reads the sense's
-selectional frame; the copula's frame names the located referent and
-its position.  A clause yields exactly one proposition; when no reading
-survives, or more than one distinct reading does, the sentence fails.
+(with a qualia retry for associations like car has-a engine).  One
+linking rule (after RRG's linking algorithm: Van Valin, *Exploring the
+Syntax-Semantics Interface*, 2005, ch. 4) fills every frame's roles.  The
+voice links the actor: the active's subject, the passive's `by` phrase,
+else the unspecified referent.  A role phrase, conjoined or not, links
+its referent; a preposition stranded after the verb ("Who did Mary take
+the milk from?") gives its phrases' labels to the question slot.  The
+other core referents fill the remaining roles in frame order, each role
+the first that fits, a plain referent before a question slot; with two
+or more left an open recipient goes first (the dative shift: "gave Mary
+the milk").  A destination or position must be one place.  A clause
+yields exactly one proposition; when no reading survives, or more than
+one distinct reading does, the sentence fails.
 
 The matcher applies the lexicon's `PhraseRecord`s as they stand: the
 loader has already parsed every selector into a `Selector` record and
@@ -463,11 +471,13 @@ class Matcher:
             for w in window:
                 if w.is_referent():
                     members.extend(w.bundle_members or [w])
-            # a bundle is a referent that reaches what every member reaches
+            # a bundle is a referent that reaches what every member reaches,
+            # in the role its first member's phrase names ("by Mary and John")
             result = Element(" ".join(w.surface for w in window),
                              cats=_REFERENT if members else frozenset(),
                              reach=frozenset.intersection(*[m.reach for m in members])
                              if members else frozenset(),
+                             labels=window[0].labels & ROLE_LABELS,
                              attributes={"plural", "bundle"}, bundle_members=members)
         else:
             result = window[pat.retain - 1].copy()
@@ -641,105 +651,76 @@ class Matcher:
                    for assoc, _kind in self.lexicon.qualia_expand(ref.sense))
 
     def _clause_parts(self, elements: list[Element], verb: Element):
-        """The verb's role-labelled elements, and the plain complete
-        referents before and after it; the same for every sense tried."""
+        """What links the verb's roles, the same for every sense tried:
+        each role label -> (its element, a preposition consumed with it),
+        and the plain complete referents before and after the verb.  A
+        role phrase labels its referent.  A stranded preposition, one
+        after the verb that opens role phrases, gives their labels to the
+        clause's question slot ("Who did Mary take the milk from?"), and
+        is consumed only when the slot fills one of them."""
         idx = elements.index(verb)
-        labeled: dict[str, Element] = {}
-        for el in elements:
-            if el is verb:
-                continue
-            for label in el.labels:
-                if label in ROLE_LABELS:
-                    labeled[label] = el
         def plain_refs(seq):
             return [el for el in seq
                     if el.is_complete_referent() and el.labels.isdisjoint(ROLE_LABELS)]
-        return labeled, plain_refs(elements[:idx]), plain_refs(elements[idx + 1:])
-
-    def _leftover_ok(self, el: Element, consumed: set[int], ops: OperatorSet,
-                     roles: dict) -> bool:
-        if id(el) in consumed or "consumed" in el.attributes:
-            return True
-        if el.is_vacuous(self.lexicon):
-            return True
-        # a stranded `to` is fine when a fronted question word filled its role
-        if "p:to" in el.ids and ops.force == "question":
-            for role in ("recipient", "destination"):
-                filler = roles.get(role)
-                if isinstance(filler, Referent) and filler.is_query:
-                    return True
-        return False
+        pre_refs, post_refs = plain_refs(elements[:idx]), plain_refs(elements[idx + 1:])
+        links: dict[str, tuple[Element, Element | None]] = {}
+        for el in elements:
+            for label in el.labels & ROLE_LABELS:
+                links[label] = (el, None)
+        slot = next((el for el in pre_refs + post_refs if el.is_query()), None)
+        for prep in elements[idx + 1:] if slot else ():
+            for pat in prep.openers:
+                if "role-phrase" in pat.attrs:
+                    for _, label in pat.labels:
+                        links.setdefault(label, (slot, prep))
+        return links, pre_refs, post_refs
 
     def _cast_sense(self, sense_id: str, verb: Element, elements: list[Element],
                     ops: OperatorSet, parts):
         lex = self.lexicon
         sense = lex.sense(sense_id)
         template, frame = lex.templates[sense_id]
-        labeled, pre_refs, post_refs = parts
+        links, pre_refs, post_refs = parts
+        open_roles = [r.name for r in frame.roles]
         consumed: set[int] = set()
         roles: dict[str, Referent] = {}
 
         def consume(role: str, el: Element):
             roles[role] = self._referent_of(el)
             consumed.add(id(el))
+            open_roles.remove(role)
 
-        subject = pre_refs[-1] if pre_refs else None
-        # one linking path for every template: the loader gives each
-        # `vc=` sense a frame
-        open_roles = [r.name for r in frame.roles]
-
+        # the voice links the actor: the subject in the active, the agent
+        # phrase in the passive, as one more label; each label links its role
         if ops.voice == "passive":
-            if "agent" in labeled and "actor" in open_roles:
-                consume("actor", labeled["agent"])
-                open_roles.remove("actor")
-            elif "actor" in open_roles:
-                roles["actor"] = UNSPECIFIED
-                open_roles.remove("actor")
-        else:
-            if subject is not None and "actor" in open_roles:
-                consume("actor", subject)
-                open_roles.remove("actor")
+            links = {"actor" if label == "agent" else label: link
+                     for label, link in links.items()}
+        elif pre_refs:
+            links = {"actor": (pre_refs[-1], None), **links}
+        for role, (el, prep) in links.items():
+            if role in open_roles and id(el) not in consumed:
+                consume(role, el)
+                if prep is not None:
+                    consumed.add(id(prep))
+        if ops.voice == "passive" and "actor" in open_roles:
+            roles["actor"] = UNSPECIFIED
+            open_roles.remove("actor")
 
-        for label, el in labeled.items():
-            if label in open_roles:
-                consume(label, el)
-                open_roles.remove(label)
-
-        pool = [el for el in pre_refs + post_refs if id(el) not in consumed]
-        if ops.voice == "passive" and subject is not None and id(subject) not in consumed:
-            # promoted subject: an inner object wins the undergoer slot if present
-            post_pool = [el for el in post_refs if id(el) not in consumed]
-            if post_pool and "undergoer" in open_roles:
-                consume("undergoer", post_pool[0])
-                open_roles.remove("undergoer")
-            for name in list(open_roles):
-                if self._fits(self._referent_of(subject), frame.role(name).category):
-                    consume(name, subject)
-                    open_roles.remove(name)
-                    break
-            pool = [el for el in pre_refs + post_refs if id(el) not in consumed]
-
-        if (ops.voice == "active" and "recipient" in open_roles
-                and "undergoer" in open_roles and len(pool) >= 2):
-            # double-object order: "gave Mary the milk"
-            first, second = pool[0], pool[1]
-            if (self._fits(self._referent_of(first), frame.role("recipient").category)
-                    and self._fits(self._referent_of(second), frame.role("undergoer").category)):
-                consume("recipient", first)
-                consume("undergoer", second)
-                open_roles.remove("recipient")
-                open_roles.remove("undergoer")
-                pool = [el for el in pool if id(el) not in consumed]
-
+        # the other core referents fill the rest in frame order, each role
+        # the first that fits, a plain referent before a question slot;
+        # with two or more left an open recipient goes first, the dative
+        # shift of "gave Mary the milk" and "Jeff was given the milk"
+        pool = sorted((el for el in pre_refs + post_refs if id(el) not in consumed),
+                      key=Element.is_query)
+        if len(pool) > 1 and "recipient" in open_roles:
+            open_roles.sort(key=lambda name: name != "recipient")
         for name in list(open_roles):
             category = frame.role(name).category
-            # a plain referent wins a role before a question slot does
-            chosen = next((el for el in sorted(pool, key=Element.is_query)
+            chosen = next((el for el in pool
                            if self._fits(self._referent_of(el), category)), None)
             if chosen is not None:
                 consume(name, chosen)
-                open_roles.remove(name)
-                pool = [el for el in pool if id(el) not in consumed]
+                pool.remove(chosen)
 
         for name in open_roles:
             if frame.role(name).required:
@@ -789,8 +770,8 @@ class Matcher:
             position, located = roles["position"], roles["located"]
             if located.focus == "where":
                 raise CompletenessError("no referent to locate")
-            if "position" in labeled:
-                pred = labeled["position"].attr("pos") or "p:be-LOC"
+            if "position" in links:
+                pred = links["position"][0].attr("pos") or "p:be-LOC"
             elif position.focus == "where":
                 pred = "p:be-LOC"
             else:
@@ -826,9 +807,10 @@ class Matcher:
             except MatchError as exc:
                 failures.append(f"{sense_id}: {exc}")
                 continue
-            leftovers = [
-                el for el in elements
-                if el is not verb and not self._leftover_ok(el, consumed, ops, roles)]
+            leftovers = [el for el in elements
+                         if el is not verb and id(el) not in consumed
+                         and "consumed" not in el.attributes
+                         and not el.is_vacuous(self.lexicon)]
             if leftovers:
                 failures.append(
                     f"{sense_id}: element {leftovers[0].surface!r} not consumed")
