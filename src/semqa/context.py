@@ -23,8 +23,8 @@ a conjunct's included, rebuilds only the branches above them, and
 collects the resolved structure's summary on the way.
 
 Questions intersect the stored items against their own logical
-structure: present-tense position questions return the latest
-still-valid element, past tense returns the list; a bundle was where all
+structure: a present- or future-tense position question returns the
+latest still-valid element, the past tense returns the list; a bundle was where all
 its members were at once.  Possession questions replay the have' ledger,
 one row per object: the item of its latest gain, or None once lost.
 Transfer questions collect every matching item in context order
@@ -393,7 +393,7 @@ class ContextTracker:
                 raise UnsupportedQuestionError("no position slot to solve for")
             ls = states[0]
         entity = ls.arg2
-        if ops.tense == "present":
+        if ops.tense != "past":
             cur = self.current_position(entity)
             if cur is None:
                 return AnswerContent("content", bindings=[], echo=ops, topic=entity)
@@ -420,8 +420,7 @@ class ContextTracker:
             return AnswerContent("polar", polarity="yes" if matched else "no",
                                  echo=ops, topic=next(iter(walk_referents(ls)), None),
                                  aux_hint="do", support=matched)
-        where = self._answer_where(
-            ls, ops if ops.tense in ("past", "present") else ops.with_(tense="present"))
+        where = self._answer_where(ls, ops)
         hit = next(((b, n) for b, n in zip(where.bindings, where.support)
                     if _same_location(b, ls)), None)
         contrast = None

@@ -423,7 +423,8 @@ def antecedents(term: Arg, lexicon) -> tuple[tuple[str, Referent], ...]:
     are `plural` (a bundle), `person` (an entity that is an r:person) and
     `male` and `female` (a person with that attribute)."""
     found: dict[str, Referent] = {}
-    _collect_antecedents(term, lexicon, found)
+    for ref in walk_referents(term):
+        note_antecedent(ref, lexicon, found)
     return tuple(found.items())
 
 
@@ -439,23 +440,6 @@ def note_antecedent(ref: Referent, lexicon, found: dict):
         for gender in ("male", "female"):
             if gender in ref.attributes:
                 found.setdefault(gender, ref)
-
-
-def _collect_antecedents(term: Arg, lexicon, found: dict):
-    if isinstance(term, Referent):
-        note_antecedent(term, lexicon, found)
-    elif isinstance(term, State):
-        _collect_antecedents(term.arg1, lexicon, found)
-        _collect_antecedents(term.arg2, lexicon, found)
-    elif isinstance(term, Activity):
-        _collect_antecedents(term.actor, lexicon, found)
-        if term.undergoer is not None:
-            _collect_antecedents(term.undergoer, lexicon, found)
-    elif isinstance(term, Wrapped):
-        _collect_antecedents(term.inner, lexicon, found)
-    elif isinstance(term, Linked):
-        _collect_antecedents(term.left, lexicon, found)
-        _collect_antecedents(term.right, lexicon, found)
 
 
 def map_referents(term: Arg, fn) -> Arg:

@@ -724,6 +724,8 @@ PASSIVE_GIVE = ["The milk was given to Mary."]   # the giver is left unspecified
      "Will Mary be in the kitchen?", "no"),
     (["Mary went to the kitchen.", "Mary went to the garden."],
      "Will Mary be in the garden?", "yes"),
+    (["Mary went to the kitchen.", "Mary went to the garden."],
+     "Where will Mary be?", "garden"),
 ])
 def test_story_answer_or_typed_error(lex, matcher, story, question, expected):
     def keyword_answer():
