@@ -43,6 +43,14 @@ REPEATS = (
     "How many objects is Mary carrying?",
     "Is Mary in the kitchen?",
     "Mary went to the kitchen. Mary",
+    # the linking rule: a conjoined agent, the dative shift, stranded prepositions
+    "The milk was given to Mary by Mary and John.",
+    "Mary was given the milk by John and Mary.",
+    "What was Mary given?",
+    "What did Mary give Mary?",
+    "Who did Mary take the milk from?",
+    "Who was the milk given by?",
+    "Where is Mary in?",
 )
 
 # the copula, which links its located referent and position through its frame
