@@ -24,12 +24,12 @@ collects the resolved structure's summary on the way.
 
 Questions intersect the stored items against their own logical
 structure: a present- or future-tense position question returns the
-latest still-valid element, the past tense returns the list; a bundle was where all
-its members were at once.  Possession questions replay the have' ledger,
-one row per object: the item of its latest gain, or None once lost.
-Transfer questions collect every matching item in context order
-(`latest_match` keeps only the last, as the bAbI datasets expect).  "Who
-is in X?" folds every located entity's current position in one pass.
+latest still-valid element, the past tense returns the list; a bundle
+was where all its members were at once.  Possession questions replay the
+have' ledger, one row per object: the item of its latest gain, or None
+once lost.  Transfer questions collect every matching item in context
+order (`latest_match` keeps only the last, as the bAbI datasets expect).
+"Who is in X?" folds every located entity's current position in one pass.
 
 A polar question is its content twin plus a membership test: yes when
 the twin, answered by the one method for its view, binds the asked
