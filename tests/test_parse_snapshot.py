@@ -1,18 +1,19 @@
 """Parse snapshot: what the matcher makes of a fixed corpus of texts.
 
 One line per distinct text: the rendered logical structure with its
-operators (the number only when plural), a pronoun flag, the antecedent summary, and the same for each
-embedded clause; or the class of the error the parse raises.  An error's
-message is left out: it names the sense that failed last, and the order
-in which senses fail is not behaviour.
+operators (the number only when plural), a pronoun flag and the
+antecedent summary, then the same for each embedded clause; or the class
+of the error the parse raises.  An error's message is left out: it names
+the sense that failed last, and the order in which senses fail is not
+behaviour.
 
 The corpus is `test_shapes.oracle_sentences` (fixture lines, synthetic
 family lines, random lines, the verb-group grid and the shape and copula
 lists), then a linking grid, then a few probes.  The grid crosses a
-subject, one verb per selectional frame in the active and the passive,
-and a complement: none, one object, two objects, a to, from or by phrase,
-a by-bundle, or a stranded to, from, by or in.  Each cell is a statement
-and a fronted who, what and where question.
+subject, one verb per distinct selectional frame in the active and the
+passive, and a complement: none, one object, two objects, a to, from or
+by phrase, a by-bundle, or a stranded to, from, by or in.  Each cell is
+a statement and a fronted who, what and where question.
 
 A change that keeps every parse leaves `golden/parses.txt` byte-identical.
 After an intended change, regenerate it with
@@ -40,7 +41,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "parses.txt"
 SUBJECTS = ("Mary", "the milk")
 COMPLEMENTS = ("", " the milk", " John", " John the milk", " to John", " to the kitchen",
                " from John", " by John", " by John and Fred", " to", " from", " by", " in")
-# texts whose linking is easy to get wrong, each next to its plain form
+# texts whose linking, or whose place typing, is easy to get wrong
 PROBES = (
     "The milk was given to Jeff by Mary.",
     "The milk was given to Jeff by Mary and John.",
