@@ -6,8 +6,9 @@ embedded clauses, no pronoun and its own antecedent summary; its number
 is its position in `items` + 1.  A pronoun-free proposition the matcher
 made with no embedded clauses is stored as it is, shared with the parse
 cache; any other gets one new `Proposition`.  A statement or question
-whose proposition says it holds no pronoun (`Proposition.pronoun`, set by
-the matcher) is used without a walk; one built by hand is walked.
+whose proposition carries its antecedent summary holds no pronoun and is
+used without a walk; one with none, a pronoun statement or one built by
+hand, is walked.
 
 A pronoun takes the latest referent of its agreement class (Lappin &
 Leass, *Computational Linguistics* 20(4), 1994, filter by agreement
@@ -58,7 +59,6 @@ from .semantics import (
     State,
     UNSPECIFIED,
     Wrapped,
-    antecedents,
     bundle,
     map_referents,
     note_antecedent,
@@ -208,21 +208,19 @@ class ContextTracker:
         self._store(prop)
 
     def _store(self, prop: Proposition):
-        """Append `prop` as an item.  A pronoun-free proposition with its
-        summary and no embedded clauses is the item itself; a pronoun
-        statement's item holds its resolved structure and that structure's
-        summary, and a hand-built proposition's summary is walked here."""
+        """Append `prop` as an item.  A proposition with its summary and no
+        embedded clauses is the item itself; one without a summary (a
+        pronoun statement, or one built by hand) is stored resolved, with
+        the summary of its resolved structure, both from one walk."""
         ls, summary = prop.ls, prop.antecedents
-        if prop.pronoun:
+        if summary is None:
             found: dict[str, Referent] = {}
             ls = self._resolve_ls(ls, found)
             summary = tuple(found.items())
-        elif summary is None:
-            summary = antecedents(ls, self.lexicon)
         elif not prop.embedded:
             self.items.append(prop)
             return
-        self.items.append(Proposition(ls, prop.operators, (), prop.source, False, summary))
+        self.items.append(Proposition(ls, prop.operators, (), prop.source, summary))
 
     def _resolve_ls(self, ls, found: dict | None = None):
         """`ls` with its pronouns resolved, in one walk: each distinct
@@ -366,7 +364,7 @@ class ContextTracker:
         type (polar/content) determines the answer shape."""
         if prop.operators.force != "question":
             raise UnsupportedQuestionError("not a question")
-        ls = self._resolve_ls(prop.ls) if prop.pronoun else prop.ls
+        ls = prop.ls if prop.antecedents is not None else self._resolve_ls(prop.ls)
         ops = prop.operators
         queries = [r for r in walk_referents(ls) if r.is_query]
         focus = queries[0].focus if queries else None
@@ -466,31 +464,22 @@ class ContextTracker:
         return AnswerContent(kind, bindings=[obj for obj, _ in rows],
                              echo=ops, topic=holder, support=[i for _, i in rows])
 
-    def _receive_events(self, ls):
-        """Items whose positive have' leaf matches a bare BECOME have' query."""
-        wanted = have_events(ls)
-        if len(wanted) != 1 or not wanted[0].positive:
-            return None
-        if isinstance(ls, Linked) and ls.link == "CAUSE":
-            return None
-        q = wanted[0]
-        found = []
-        for n, item in enumerate(self.items, 1):
-            for ev in item_receive_candidates(item, n, self.config.strict_receive):
-                if referent_matches(q.party, ev.party) \
-                        and referent_matches(q.obj, ev.obj):
-                    found.append(ev)
-        return found
-
     def _answer_transfer(self, ls, ops: OperatorSet, focus: str | None) -> AnswerContent:
-        receive = self._receive_events(ls)
+        """The items that match a transfer question, in context order.  A
+        bare BECOME have' question (one positive have' leaf, no CAUSE)
+        matches each item's receive candidates; any other unifies with
+        each item."""
+        wanted = have_events(ls)
         bindings: list[Referent] = []
         support: list[int] = []
-        if receive is not None:
-            q = have_events(ls)[0]
-            for ev in receive:
-                bindings.append(ev.party if q.party.is_query else ev.obj)
-                support.append(ev.index)
+        if len(wanted) == 1 and wanted[0].positive \
+                and not (isinstance(ls, Linked) and ls.link == "CAUSE"):
+            q = wanted[0]
+            for n, item in enumerate(self.items, 1):
+                for ev in item_receive_candidates(item, n, self.config.strict_receive):
+                    if referent_matches(q.party, ev.party) and referent_matches(q.obj, ev.obj):
+                        bindings.append(ev.party if q.party.is_query else ev.obj)
+                        support.append(n)
         else:
             for n, item in enumerate(self.items, 1):
                 result = unify(ls, item.ls, self.lexicon)

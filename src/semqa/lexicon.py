@@ -10,12 +10,12 @@ phrase records live in the same file format; this module is the only one
 that knows it.
 
 `load_lexicon` parses and validates every record, selectors, retain
-indices, literal `emit=` senses and `vc=` template names included, checks
-that every `vc=` sense reaches a selectional frame along its entails
-chain, checks each transfer sense's `dir=`, and computes the derived
-tables (relation index, each `vc=` sense's template and frame, is-a
-closure, entails bases, inflections, position words, token classes)
-once.  The realizer's English comes from two of them:
+indices, literal `emit=` senses, `pos=` predicates and `vc=` template
+names included, checks that every `vc=` sense reaches a selectional frame
+along its entails chain, checks each transfer sense's `dir=`, and
+computes the derived tables (relation index, each `vc=` sense's template
+and frame, is-a closure, entails bases, inflections, position words,
+token classes) once.  The realizer's English comes from two of them:
 `inflect` picks a sense's form by tense and agreement cell or by
 nonfinite slot, first in file order, and `position_words` gives a
 positional predicate's preposition, the first form of the sense whose
@@ -60,6 +60,8 @@ ROLE_NAMES = ("actor", "undergoer", "destination", "source", "recipient", "locat
 # spatial dimensionality class -> the positional predicate it picks; the
 # one copy of this mapping, and each class a sense carries needs a position word
 DIMENSIONALITY = {"enclosure": "p:be-in", "surface": "p:be-on", "locale": "p:be-at"}
+# the `pos=` attributes a sense, form link or consolidation may carry
+_POS_ATTRS = frozenset(f"pos={pred}" for pred in DIMENSIONALITY.values())
 # agreement cells a finite form may name
 AGREEMENT = frozenset({"1sg", "3sg", "plural"})
 # referent senses the engine's code names (matcher, context); a surface of
@@ -441,7 +443,10 @@ def _parse_attrs(token: str, line: int, parsed: dict[str, frozenset[str]]) -> fr
         body = token.strip()
         if not (body.startswith("{") and body.endswith("}")):
             raise LexiconError(f"expected {{attr,...}}, got {body!r}", line)
-        attrs = parsed[token] = frozenset(filter(None, map(str.strip, body[1:-1].split(","))))
+        attrs = frozenset(filter(None, map(str.strip, body[1:-1].split(","))))
+        if "pos=" in body:
+            _check_pos(attrs, line)
+        parsed[token] = attrs
     return attrs
 
 
@@ -512,7 +517,16 @@ def _parse_phrase(parts: list[str], line: int, parsed: dict[str, Selector]) -> P
         # the matcher reads a verb off its form; a consolidation cannot make one
         if any(a.startswith("vc=") for a in rec.attrs):
             raise LexiconError(f"consolidation {pid!r} adds a vc= template in attrs=", line)
+        _check_pos(rec.attrs, line)
     return rec
+
+
+def _check_pos(attrs, line: int):
+    """Reject a `pos=` that names no positional predicate: the matcher
+    builds a position state from it."""
+    bad = [a for a in attrs if a.startswith("pos=") and a not in _POS_ATTRS]
+    if bad:
+        raise LexiconError(f"{min(bad)} names no positional predicate", line)
 
 
 def _split_record(text: str, line: int) -> list[str]:

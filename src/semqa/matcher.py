@@ -28,24 +28,25 @@ checked its values, the retain indices and termination, and compiled each
 which predication reads; no record format is read here and none of these
 is checked again.
 
-Matching is compiled per form, in the manner of Rete's alpha memories
+Matching is compiled per surface, in the manner of Rete's alpha memories
 (Forgy, *Artificial Intelligence* 19, 1982).  The first time a token is
-seen the matcher builds its `Form`: the candidate senses, their ids and
-universals, the merged attributes, the senses its referent senses reach
-via is-a, the consolidations whose first selector an element of that
-form meets (its openers), and whether it is a verb (an attribute names a
-`vc=` template).  A selector is then a handful of set tests on an
-element's fields, and a window is tried only where its first element
-opens it.  A consolidated element keeps its retained element's verb flag
-(a bundle is no verb; the loader rejects a consolidation whose `attrs=`
-names a template), so the main verb, a leftover auxiliary and the verbs
-after a relative marker are read off the flag.  Main and relative
-clauses go through one clause step, which finds the clause's main verbs
-once for operator extraction and predication alike.  A consolidated
-element gets its openers when it is made, from a table keyed by the
-fields a first selector reads (surface, sense ids, universals, reach,
-attributes); an entity referent comes from a table keyed by its sense
-and the ops and attributes a referent keeps.
+seen the matcher builds its prototype element: the candidate senses,
+their ids and universals, the merged attributes, the senses its referent
+senses reach via is-a, the consolidations whose first selector it meets
+(its openers), and whether it is a verb (an attribute names a `vc=`
+template); every element of that token is a copy of it.  A selector is
+then a handful of set tests on an element's fields, and a window is
+tried only where its first element opens it.  A consolidated element
+keeps its retained element's verb flag (a bundle is no verb; the loader
+rejects a consolidation whose `attrs=` names a template), so the main
+verb, a leftover auxiliary and the verbs after a relative marker are
+read off the flag.  Main and relative clauses go through one clause
+step, which finds the clause's main verbs once for operator extraction
+and predication alike.  A consolidated element gets its openers when it
+is made, from a table keyed by the fields a first selector reads
+(surface, sense ids, universals, reach, attributes); an entity referent
+comes from a table keyed by its sense and the ops and attributes a
+referent keeps.
 
 Each fixpoint round fires the first consolidation, in lexicon order, at
 the lowest position where its window matches, and the next round resumes
@@ -93,10 +94,10 @@ most `PARSE_CACHE_SIZE` entries, evicting the oldest first.  Concurrent
 callers may share a matcher: the tables only ever map a key to an equal
 value, and eviction tolerates a racing caller.
 
-Each proposition records whether its structure holds a pronoun, a
-conjunct of a bundle included, so the context walks only those; a
-pronoun-free one carries its antecedent summary (`semantics.antecedents`)
-and is stored by the context as it is, summary and all.  The context
+A proposition whose structure holds no pronoun, not even as a conjunct
+of a bundle, carries its antecedent summary (`semantics.antecedents`) and
+is stored by the context as it is, summary and all; one that holds a
+pronoun carries none, and the context walks only those.  The context
 resolves later pronouns from these summaries without walking back through
 the story.  A cold parse walks its structure once for the summary; a
 shape hit maps the cached summary through the same swap as the
@@ -178,31 +179,14 @@ _CONTRACTIONS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Form:
-    """What every element of one token (or of one literal's emitted
-    sense) starts from, built once per matcher: the candidate senses in
-    lexicon order, their ids and universals, the merged attributes, every
-    sense a referent sense among them reaches via is-a, and the
-    consolidations whose first selector such an element meets, and
-    whether it is a verb: some attribute names a `vc=` template."""
-
-    senses: tuple[tuple[str, frozenset[str]], ...]
-    ids: frozenset[str]
-    cats: frozenset[str]
-    attributes: frozenset[str]
-    reach: frozenset[str]
-    openers: tuple[PhraseRecord, ...]
-    verb: bool
-
-
 @dataclass(slots=True)
 class Element:
     """One matched constituent: labels, merged attributes, candidate senses.
 
     `senses`, `ids`, `cats`, `reach` and `verb` are shared with the
-    element's `Form` (or, for a bundle, derived from its members) and
-    never change; labels, attributes and ops grow as phrases consolidate.
+    matcher's prototype element of its token (or, for a bundle, derived
+    from its members) and never change; labels, attributes and ops grow
+    as phrases consolidate.
     No attribute added later names a `vc=` template (the loader rejects
     a consolidation whose `attrs=` would), so `verb` stays exact."""
 
@@ -222,11 +206,6 @@ class Element:
     verb: bool = False
     # filled by predication, once the element set has stopped changing
     referent: Referent | None = None
-
-    @classmethod
-    def of(cls, surface: str, form: Form) -> "Element":
-        return cls(surface, form.senses, form.ids, form.cats, form.reach,
-                   attributes=set(form.attributes), openers=form.openers, verb=form.verb)
 
     def copy(self) -> "Element":
         return Element(self.surface, self.senses, self.ids, self.cats, self.reach,
@@ -260,20 +239,18 @@ class Proposition:
     """One ingestible unit: logical structure + operators + hoisted clauses,
     and the context's stored item.
 
-    `pronoun` says whether `ls` holds a pronoun referent, alone or as a
-    bundle member, for the context to resolve, and `antecedents` is the
-    antecedent summary of `ls` (see `semantics.antecedents`), from which
-    the context resolves later pronouns.  The matcher sets both; a
-    structure that holds a pronoun has no summary, since its referents are
-    known only once resolved.  A proposition built by hand keeps the
-    defaults, which only cost the context a walk.  A stored item has no
+    `antecedents` is the antecedent summary of `ls` (see
+    `semantics.antecedents`), from which the context resolves later
+    pronouns.  The matcher leaves it None exactly when `ls` holds a pronoun
+    referent, alone or as a bundle member, since its referents are known
+    only once the context resolves them.  A proposition built by hand keeps
+    the default, which only costs the context a walk.  A stored item has no
     embedded clauses, no pronoun and its own summary."""
 
     ls: object
     operators: OperatorSet
     embedded: tuple["Proposition", ...] = ()
     source: str = ""
-    pronoun: bool = field(default=True, compare=False)
     antecedents: tuple[tuple[str, Referent], ...] | None = field(default=None, compare=False)
 
 
@@ -313,7 +290,7 @@ def _recast(prop: Proposition, swap, source: str) -> Proposition:
         summary = tuple(pairs)
     return Proposition(map_referents(prop.ls, swap), prop.operators,
                        tuple(_recast(e, swap, source) for e in prop.embedded),
-                       source, prop.pronoun, summary)
+                       source, summary)
 
 
 def _is_pronoun(ref: Referent) -> bool:
@@ -323,11 +300,13 @@ def _is_pronoun(ref: Referent) -> bool:
     return ref.kind == "entity" and "pronoun" in ref.attributes
 
 
-def _holds_pronoun(ls, refs) -> bool:
-    """Whether `ls`, built from the referents `refs` and `UNSPECIFIED`,
-    holds a pronoun for the context to resolve; most hold none of `refs`
-    and need no walk."""
-    return any(map(_is_pronoun, refs)) and any(map(_is_pronoun, walk_referents(ls)))
+def _summary(ls, refs, lexicon: Lexicon):
+    """The antecedent summary of `ls`, built from the referents `refs` and
+    `UNSPECIFIED`, or None when it holds a pronoun for the context to
+    resolve; most hold none of `refs` and need no walk for that."""
+    if any(map(_is_pronoun, refs)) and any(map(_is_pronoun, walk_referents(ls))):
+        return None
+    return antecedents(ls, lexicon)
 
 
 def _tense_of(el: Element) -> str | None:
@@ -385,9 +364,10 @@ class Matcher:
             if p.kind == "literal":
                 self._literals.setdefault(p.trigger, []).append(
                     ([sel.word for sel in p.selectors], p.emit))
-        # token, or a literal's words joined by spaces -> its form, built on
-        # first sight (a token holds no space, so the two never collide)
-        self._forms: dict[str, Form] = {}
+        # token, or a literal's words joined by spaces -> its prototype
+        # element, built on first sight (a token holds no space, so the two
+        # never collide)
+        self._forms: dict[str, Element] = {}
         # text -> its proposition, in insertion order for FIFO eviction
         self._parses: dict[str, Proposition] = {}
         # shape -> (its first text's proposition, the sense in each slot of that text)
@@ -399,9 +379,9 @@ class Matcher:
 
     # -- element construction -------------------------------------------
 
-    def _new_form(self, surface: str, senses, position: int) -> Form:
-        """Build and keep the form of `surface`, whose candidate senses
-        are `senses`; a token with none is an unknown word."""
+    def _new_form(self, surface: str, senses, position: int) -> Element:
+        """Build and keep the prototype element of `surface`, whose
+        candidate senses are `senses`; a token with none is an unknown word."""
         if not senses:
             raise UnknownWordError(surface, position)
         lex = self.lexicon
@@ -413,11 +393,11 @@ class Matcher:
             attributes |= sense.attributes
             if sense.category == "referent":
                 reach |= lex.is_a_closure(sense_id)
-        probe = Element(surface, tuple(senses), frozenset(s for s, _ in senses),
-                        frozenset(lex.sense(s).category for s, _ in senses),
-                        frozenset(reach), attributes=attributes)
-        form = Form(probe.senses, probe.ids, probe.cats, frozenset(attributes), probe.reach,
-                    self._openers(probe), any(a.startswith("vc=") for a in attributes))
+        form = Element(surface, tuple(senses), frozenset(s for s, _ in senses),
+                       frozenset(lex.sense(s).category for s, _ in senses),
+                       frozenset(reach), attributes=attributes,
+                       verb=any(a.startswith("vc=") for a in attributes))
+        form.openers = self._openers(form)
         return self._forms.setdefault(surface, form)
 
     def _openers(self, el: Element) -> tuple[PhraseRecord, ...]:
@@ -442,11 +422,10 @@ class Matcher:
                     i += len(words)
                     break
             else:
-                surface = token
                 form = forms.get(token) or self._new_form(
                     token, self.lexicon.senses_of(token), i)
                 i += 1
-            out.append(Element.of(surface, form))
+            out.append(form.copy())
         return out
 
     # -- consolidation fixpoint ------------------------------------------
@@ -825,16 +804,15 @@ class Matcher:
         actorish = roles.get("actor") or roles.get("located")
         if actorish is not None and actorish.kind == "bundle" and ops.number != "plural":
             ops = ops.with_(number="plural")
-        pronoun = _holds_pronoun(ls, roles.values())
-        summary = None if pronoun else antecedents(ls, self.lexicon)
+        summary = _summary(ls, roles.values(), self.lexicon)
         embedded = ()
         if "no-longer" in verb.attributes:
             # cessation reads as: it was so, and now it is not
             twin = Proposition(ls, ops.with_(tense="past", polarity="positive"),
-                               source=source, pronoun=pronoun, antecedents=summary)
+                               source=source, antecedents=summary)
             ops = ops.with_(tense="present", polarity="negative")
             embedded = (twin,)
-        return Proposition(ls, ops, embedded, source, pronoun, summary)
+        return Proposition(ls, ops, embedded, source, summary)
 
     def _bare_position(self, elements: list[Element], ops: OperatorSet,
                        source: str) -> Proposition:
@@ -844,9 +822,7 @@ class Matcher:
         if len(pos) == 1 and not rest:
             ref = self._referent_of(pos[0])
             ls = build_state(self.lexicon, pos[0].attr("pos") or "p:be-LOC", ref, UNSPECIFIED)
-            pronoun = _holds_pronoun(ls, (ref,))
-            return Proposition(ls, ops, (), source, pronoun,
-                               None if pronoun else antecedents(ls, self.lexicon))
+            return Proposition(ls, ops, (), source, _summary(ls, (ref,), self.lexicon))
         raise MeaninglessError("no predicate matched")
 
     # -- embedded clauses ---------------------------------------------------

@@ -303,77 +303,60 @@ def _preds_compatible(lexicon, qpred: str, ipred: str) -> bool:
     return lexicon is not None and lexicon.entails_related(qpred, ipred)
 
 
-def _bind(bindings: dict, focus: str, value) -> bool:
-    if focus in bindings:
-        prev = bindings[focus]
-        return referent_matches(prev, value) and referent_matches(value, prev)
-    bindings[focus] = value
-    return True
+def _bind(bindings: dict, focus: str, value) -> Optional[dict]:
+    if focus not in bindings:
+        return {**bindings, focus: value}
+    prev = bindings[focus]
+    return bindings if referent_matches(prev, value) and referent_matches(value, prev) else None
 
 
 def _match_arg(q: Referent, item: Referent, bindings: dict,
-               item_state: Optional[State] = None, slot: int = 0) -> bool:
+               item_state: Optional[State] = None, slot: int = 0) -> Optional[dict]:
     if q.is_query:
         if q.focus == "where" and item_state is not None and slot == 1:
             # a where-slot binds the whole position, not just the object
             return _bind(bindings, q.focus, State(item_state.pred, item_state.arg1))
         return _bind(bindings, q.focus or "?", item)
-    return referent_matches(q, item)
+    return bindings if referent_matches(q, item) else None
 
 
-def _unify(lexicon, q: Term, item: Term, bindings: dict) -> bool:
+def _unify_sides(lexicon, q: Linked, left: Term, right: Term, bindings: dict) -> Optional[dict]:
+    """`_unify` of `q`'s left side with `left`, then of its right with `right`."""
+    bindings = _unify(lexicon, q.left, left, bindings)
+    return None if bindings is None else _unify(lexicon, q.right, right, bindings)
+
+
+def _unify(lexicon, q: Term, item: Term, bindings: dict) -> Optional[dict]:
+    """`bindings` extended by matching `q` against `item`, or None when
+    they do not match; `bindings` itself is never changed."""
     if isinstance(q, State) and isinstance(item, State):
         if not _preds_compatible(lexicon, q.pred, item.pred):
-            return False
-        trial = dict(bindings)
-        if (_match_arg(q.arg1, item.arg1, trial, item, 1)
-                and _match_arg(q.arg2, item.arg2, trial, item, 2)):
-            bindings.clear()
-            bindings.update(trial)
-            return True
-        return False
+            return None
+        bindings = _match_arg(q.arg1, item.arg1, bindings, item, 1)
+        return None if bindings is None else _match_arg(q.arg2, item.arg2, bindings, item, 2)
     if isinstance(q, Activity) and isinstance(item, Activity):
-        if q.pred is not None and item.pred is not None:
-            if not _preds_compatible(lexicon, q.pred, item.pred):
-                return False
-        if q.pred is not None and item.pred is None:
-            return False
-        trial = dict(bindings)
-        if not _match_arg(q.actor, item.actor, trial):
-            return False
-        if q.undergoer is not None:
-            if item.undergoer is None:
-                if not q.undergoer.is_query and q.undergoer.kind != "unspecified":
-                    return False
-            elif not _match_arg(q.undergoer, item.undergoer, trial):
-                return False
-        bindings.clear()
-        bindings.update(trial)
-        return True
+        if q.pred is not None and (item.pred is None
+                                   or not _preds_compatible(lexicon, q.pred, item.pred)):
+            return None
+        bindings = _match_arg(q.actor, item.actor, bindings)
+        if bindings is None or q.undergoer is None:
+            return bindings
+        if item.undergoer is None:
+            return bindings if q.undergoer.is_query or q.undergoer.kind == "unspecified" \
+                else None
+        return _match_arg(q.undergoer, item.undergoer, bindings)
     if isinstance(q, Wrapped) and isinstance(item, Wrapped):
         change = {"BECOME", "INGR"}
         if q.op != item.op and not (q.op in change and item.op in change):
-            return False
+            return None
         return _unify(lexicon, q.inner, item.inner, bindings)
-    if isinstance(q, Linked) and isinstance(item, Linked):
-        if q.link != item.link:
-            return False
-        trial = dict(bindings)
-        if (_unify(lexicon, q.left, item.left, trial)
-                and _unify(lexicon, q.right, item.right, trial)):
-            bindings.clear()
-            bindings.update(trial)
-            return True
-        if q.link == "conj":
+    if isinstance(q, Linked) and isinstance(item, Linked) and q.link == item.link:
+        found = _unify_sides(lexicon, q, item.left, item.right, bindings)
+        if found is None and q.link == "conj":
             # conjunction order is not significant for matching
-            trial = dict(bindings)
-            if (_unify(lexicon, q.left, item.right, trial)
-                    and _unify(lexicon, q.right, item.left, trial)):
-                bindings.clear()
-                bindings.update(trial)
-                return True
-        return False
-    return False
+            found = _unify_sides(lexicon, q, item.right, item.left, bindings)
+        return found
+    return None
 
 
 def unify(q: Term, item: Term, lexicon=None) -> Optional[dict]:
@@ -384,8 +367,8 @@ def unify(q: Term, item: Term, lexicon=None) -> Optional[dict]:
     reached through juncture/CAUSE/conjunction sides and change-of-state
     wrappers; negation is never crossed.
     """
-    bindings: dict = {}
-    if _unify(lexicon, q, item, bindings):
+    bindings = _unify(lexicon, q, item, {})
+    if bindings is not None:
         return bindings
     # descend into components of the item
     if isinstance(item, Linked):

@@ -111,8 +111,8 @@ def test_only_pronoun_statements_are_walked(lex, matcher, monkeypatch):
     reference = make_tracker(lex)
     for text in story:
         prop = matcher.parse_single(text)
-        reference.ingest(replace(prop, pronoun=True, embedded=tuple(
-            replace(emb, pronoun=True) for emb in prop.embedded)))
+        reference.ingest(replace(prop, antecedents=None, embedded=tuple(
+            replace(emb, antecedents=None) for emb in prop.embedded)))
     resolved = []
     real = ContextTracker.resolve_pronoun
     monkeypatch.setattr(ContextTracker, "resolve_pronoun",
@@ -121,8 +121,7 @@ def test_only_pronoun_statements_are_walked(lex, matcher, monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("a pronoun statement walked twice")
-    for name in ("walk_referents", "antecedents"):
-        monkeypatch.setattr(f"semqa.context.{name}", forbidden)
+    monkeypatch.setattr("semqa.context.walk_referents", forbidden)
     t = ingest_all(matcher, make_tracker(lex), story)
     assert t.trace() == reference.trace()
     # one resolution per distinct pronoun, however often the structure uses it
@@ -236,7 +235,7 @@ def assert_items_stored_resolved(lex, tracker):
     """Every item holds no embedded clause and no pronoun, and carries its
     own structure's antecedent summary."""
     for item in tracker.items:
-        assert item.embedded == () and item.pronoun is False
+        assert item.embedded == ()
         assert item.antecedents == antecedents(item.ls, lex)
         assert not any("pronoun" in m.attributes for r in walk_referents(item.ls)
                        for m in (r.members if r.kind == "bundle" else (r,)))
@@ -324,7 +323,7 @@ def test_a_pronoun_free_ingest_walks_nothing(lex, matcher, monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("walked at ingest")
-    for name in ("walk_referents", "map_referents", "antecedents"):
+    for name in ("walk_referents", "map_referents", "note_antecedent"):
         monkeypatch.setattr(f"semqa.context.{name}", forbidden)
     monkeypatch.setattr(Lexicon, "holds_category", forbidden)
     monkeypatch.setattr(Lexicon, "is_a_closure", forbidden)
@@ -339,19 +338,17 @@ def test_a_pronoun_free_ingest_walks_nothing(lex, matcher, monkeypatch):
     assert all(t.items[k] is prop for k, prop in shared.items())
     assert [t.items[3], t.items[5]] == [replace(props[2], embedded=()),
                                         replace(props[3], embedded=())]
-    assert all(item.embedded == () and item.pronoun is False for item in t.items)
+    assert all(item.embedded == () and item.antecedents is not None for item in t.items)
 
 
-@pytest.mark.parametrize("pronoun", [True, False])
-def test_a_hand_built_item_with_an_unknown_sense_fails_at_ingest(lex, matcher, pronoun):
-    # a hand-built proposition gets its summary at ingest, whatever its flag says
+def test_a_hand_built_item_with_an_unknown_sense_fails_at_ingest(lex, matcher):
+    # a hand-built proposition has no summary; it gets one at ingest
     went = matcher.parse_single("Mary went to the kitchen.")
     t = make_tracker(lex)
-    t.ingest(Proposition(went.ls, went.operators, pronoun=pronoun))
-    assert t.items[-1].antecedents == went.antecedents and t.items[-1].pronoun is False
+    t.ingest(Proposition(went.ls, went.operators))
+    assert t.items[-1].antecedents == went.antecedents
     with pytest.raises(LexiconError, match="r:nobody"):
-        t.ingest(Proposition(State("p:be-in", KITCHEN, entity("r:nobody")), went.operators,
-                             pronoun=pronoun))
+        t.ingest(Proposition(State("p:be-in", KITCHEN, entity("r:nobody")), went.operators))
     assert len(t.items) == 1
 
 
@@ -726,6 +723,9 @@ PASSIVE_GIVE = ["The milk was given to Mary."]   # the giver is left unspecified
      "Will Mary be in the garden?", "yes"),
     (["Mary went to the kitchen.", "Mary went to the garden."],
      "Where will Mary be?", "garden"),
+    # a bundle asked against a bundle item matches the same members only
+    (["Mary and John picked up the milk."], "Did Mary and John pick up the milk?", "yes"),
+    (["Mary and John picked up the milk."], "Did Mary and Fred pick up the milk?", "no"),
 ])
 def test_story_answer_or_typed_error(lex, matcher, story, question, expected):
     def keyword_answer():

@@ -129,22 +129,25 @@ def test_engine_output_matches_golden_snapshot(lex):
                              + "\n".join(itertools.islice(diff, 200)))
 
 
-def test_snapshot_does_not_depend_on_the_hash_seed():
+def test_snapshot_does_not_depend_on_the_hash_seed(lex):
     """Set and dict order must not leak into the output: the engine and
     parse snapshots, built under two fixed string hash seeds in fresh
-    interpreters, have the digests of their goldens."""
+    interpreters, have the digests of their goldens, and the lexicon's
+    token classes, whose numbers key the shape table, have the digest of
+    this process's."""
     script = ("import hashlib, semqa, test_golden, test_parse_snapshot\n"
               "lex = semqa.load_core_lexicon()\n"
               "for text in (test_golden.build_snapshot(lex),\n"
-              "             test_parse_snapshot.build_parse_snapshot(lex)):\n"
+              "             test_parse_snapshot.build_parse_snapshot(lex),\n"
+              "             repr(lex.token_classes)):\n"
               "    print(hashlib.sha256(text.encode('utf-8')).hexdigest())")
     path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
     runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path,
                                       PYTHONDONTWRITEBYTECODE="1"))
             for seed in ("0", "12345")]
-    expected = "".join(hashlib.sha256(golden.read_bytes()).hexdigest() + "\n"
-                       for golden in (GOLDEN, PARSES)).encode()
+    texts = [GOLDEN.read_bytes(), PARSES.read_bytes(), repr(lex.token_classes).encode("utf-8")]
+    expected = "".join(hashlib.sha256(text).hexdigest() + "\n" for text in texts).encode()
     for run in runs:
         out, _ = run.communicate()
         assert run.returncode == 0

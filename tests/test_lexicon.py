@@ -147,6 +147,12 @@ KNOWN = 'sense r:one referent {} "one"\nsense p:one predicate {} "one"\n'
     ("phrase p", "phrase record needs id and kind"),
     ("phrase p consolidation colour=red", "unknown phrase field 'colour=red'"),
     ("phrase p consolidation sel:attr=x sel:attr=y retain=1", "phrase record needs trigger="),
+    # a pos= names one of the positional predicates, wherever it is written
+    ('sense p:inn predicate {prep,pos=p:be-inn} "inside"',
+     "pos=p:be-inn names no positional predicate"),
+    ("form x -> p:one {pos=p:be-LOC}", "pos=p:be-LOC names no positional predicate"),
+    ("phrase p consolidation trigger=x sel:attr=x sel:attr=y retain=2 "
+     "attrs=role-phrase,pos=p:be-inn", "pos=p:be-inn names no positional predicate"),
 ])
 def test_dangling_reference_names_its_line(record, message):
     line = record.count("\n") + 2

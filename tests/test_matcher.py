@@ -520,17 +520,18 @@ def test_remembered_referents_keep_the_determiner(lex):
 
 
 def test_pronoun_flag(matcher):
-    assert parse(matcher, "She went to the kitchen.").pronoun
-    assert not parse(matcher, "Mary went to the kitchen.").pronoun
+    # a structure that holds a pronoun has no antecedent summary
+    assert parse(matcher, "She went to the kitchen.").antecedents is None
+    assert parse(matcher, "Mary went to the kitchen.").antecedents is not None
     # a pronoun conjunct counts, in a statement and in a question
-    assert parse(matcher, "Sandra and he went to the garden.").pronoun
-    assert parse(matcher, "Where are Sandra and he?").pronoun
-    assert not parse(matcher, "Sandra and Daniel went to the garden.").pronoun
-    # built by hand, a proposition is taken to hold a pronoun; the flag is
-    # derived from the structure, so equality ignores it
+    assert parse(matcher, "Sandra and he went to the garden.").antecedents is None
+    assert parse(matcher, "Where are Sandra and he?").antecedents is None
+    assert parse(matcher, "Sandra and Daniel went to the garden.").antecedents is not None
+    # built by hand, a proposition is taken to hold a pronoun; the summary
+    # is derived from the structure, so equality ignores it
     by_hand = Proposition(entity("r:mary"), parse(matcher, "Mary went to the kitchen.").operators)
-    assert by_hand.pronoun and by_hand == Proposition(by_hand.ls, by_hand.operators,
-                                                      pronoun=False)
+    assert by_hand.antecedents is None and by_hand == Proposition(by_hand.ls, by_hand.operators,
+                                                                  antecedents=())
 
 
 def test_antecedent_summary(matcher):

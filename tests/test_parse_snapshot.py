@@ -132,7 +132,7 @@ def _clause(prop, lex) -> str:
                            for ref, group in itertools.groupby(prop.antecedents,
                                                                key=lambda p: p[1]))
     return (f"{render(prop.ls, lex)} [{ops.describe()}{';plural' * (ops.number == 'plural')}]"
-            f"{' pronoun' if prop.pronoun else ''} {{{summary}}}")
+            f"{' pronoun' if prop.antecedents is None else ''} {{{summary}}}")
 
 
 def parse_line(matcher, text: str) -> str:

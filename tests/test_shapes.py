@@ -93,8 +93,7 @@ def outcome(matcher, text):
         prop = matcher.parse_utterance(text)
     except MatchError as exc:
         return type(exc).__name__
-    return (prop, prop.pronoun, prop.antecedents,
-            tuple((e.pronoun, e.antecedents) for e in prop.embedded))
+    return prop, prop.antecedents, tuple(e.antecedents for e in prop.embedded)
 
 
 def class_members(lex) -> dict[int, list[str]]:
