@@ -227,9 +227,9 @@ def audit_mismatch(result: RunResult, content: AnswerContent,
         return None, "expected answer never matched in context; engine error"
     last_index = content.support[-1] if content.support else None
     if last_index is not None:
-        item = items[last_index - 1]
-        gains = item_receive_candidates(item, last_index, strict=False)
-        strict_gains = item_receive_candidates(item, last_index, strict=True)
+        ls = items[last_index - 1].ls
+        gains = item_receive_candidates(ls, strict=False)
+        strict_gains = item_receive_candidates(ls, strict=True)
         if gains and not strict_gains:
             return "G2", (
                 f"latest gain (item #{last_index}) is a self-acquisition; "

@@ -24,13 +24,16 @@ a conjunct's included, rebuilds only the branches above them, and
 collects the resolved structure's summary on the way.
 
 Questions intersect the stored items against their own logical
-structure: a present- or future-tense position question returns the
-latest still-valid element, the past tense returns the list; a bundle
-was where all its members were at once.  Possession questions replay the
-have' ledger, one row per object: the item of its latest gain, or None
-once lost.  Transfer questions collect every matching item in context
-order (`latest_match` keeps only the last, as the bAbI datasets expect).
-"Who is in X?" folds every located entity's current position in one pass.
+structure.  Every position question reads one fold over the items
+(`_positions`): for each asked member, or for every located entity when
+"Who is in X?" asks none, its latest still-valid position.  A present-
+or future-tense question returns that position, a bundle's being its
+members' common one; a past-tense question takes, from the same pass,
+the list of places all its members were at at once.  Possession
+questions replay the have' ledger, one row per object: the item of its
+latest gain, or None once lost.  Transfer questions collect every
+matching item in context order (`latest_match` keeps only the last, as
+the bAbI datasets expect); an unspecified party is never an answer.
 
 A polar question is its content twin plus a membership test: yes when
 the twin, answered by the one method for its view, binds the asked
@@ -130,13 +133,12 @@ class HaveEvent:
     positive: bool
     causer: Referent | None       # CAUSE activity actor, when present
     counterparty: bool            # a second party appears in the same item
-    index: int = 0
 
 
-def have_events(ls, index: int = 0) -> list[HaveEvent]:
+def have_events(ls) -> list[HaveEvent]:
     """Extract possession-change leaves from a logical structure."""
     out: list[HaveEvent] = []
-    _collect_have_events(ls, index, None, False, out)
+    _collect_have_events(ls, None, False, out)
     return out
 
 
@@ -144,24 +146,22 @@ def have_events(ls, index: int = 0) -> list[HaveEvent]:
 # closures: a closure that calls itself is a reference cycle, which every
 # call would leave for the cyclic garbage collector.
 
-def _collect_have_events(term, index: int, causer, counterparty: bool,
-                         out: list[HaveEvent]):
+def _collect_have_events(term, causer, counterparty: bool, out: list[HaveEvent]):
     if isinstance(term, Wrapped):
         if term.op == "BECOME":
             leaf, positive = term.inner, True
             if isinstance(leaf, Wrapped) and leaf.op == "NOT":
                 leaf, positive = leaf.inner, False
             if isinstance(leaf, State) and leaf.pred == HAVE_PRED:
-                out.append(HaveEvent(leaf.arg1, leaf.arg2, positive, causer,
-                                     counterparty, index))
+                out.append(HaveEvent(leaf.arg1, leaf.arg2, positive, causer, counterparty))
         elif term.op in ("INGR", "NOT"):
-            _collect_have_events(term.inner, index, causer, counterparty, out)
+            _collect_have_events(term.inner, causer, counterparty, out)
     elif isinstance(term, Linked):
         if term.link == "CAUSE" and isinstance(term.left, Activity):
             causer = term.left.actor
         counterparty = counterparty or term.link == "conj"
-        _collect_have_events(term.left, index, causer, counterparty, out)
-        _collect_have_events(term.right, index, causer, counterparty, out)
+        _collect_have_events(term.left, causer, counterparty, out)
+        _collect_have_events(term.right, causer, counterparty, out)
 
 
 def _position_states(term, found: list[State] | None = None) -> list[State]:
@@ -272,61 +272,32 @@ class ContextTracker:
 
     # -- retrieval --------------------------------------------------------
 
-    def positions_of(self, entity: Referent) -> list[PositionEntry]:
-        """Every position asserted for the entity, in context order;
-        bundle membership counts."""
-        out = []
+    def _positions(self, asked: Referent | None = None, past: bool = False
+                   ) -> tuple[dict[str | None, list], list[PositionEntry]]:
+        """One pass over the items: sense -> [first referent, current
+        position] (see `_advance`) for each asked member, or for every
+        located entity when none is asked, in first-seen order; bundle
+        membership counts.  When `past`, also each place the asked members
+        were all at at once, once, in context order."""
+        senses = None if asked is None else {m.sense for m in asked.members or (asked,)}
+        found: dict[str | None, list] = {}
+        places: list[PositionEntry] = []
         for n, item in enumerate(self.items, 1):
             for state in _position_states(item.ls):
-                if referent_matches(entity, state.arg2):
-                    out.append(_entry(state, item, n))
-        return out
-
-    def current_position(self, entity: Referent) -> PositionEntry | None:
-        """Latest still-valid position (see `_advance`); a bundle's is its
-        members' common one, the latest of their entries, or None when
-        they are apart."""
-        if entity.kind == "bundle":
-            return _common([self.current_position(m) for m in entity.members])
-        cur = None
-        for entry in self.positions_of(entity):
-            cur = _advance(cur, entry)
-        return cur
-
-    def _located_positions(self) -> list[tuple[Referent, PositionEntry | None]]:
-        """Every entity with an asserted position, in first-seen order, with
-        its current position: one pass over the items, not one per entity."""
-        found: dict[str | None, list] = {}   # sense -> [first referent, current]
-        for n, item in enumerate(self.items, 1):
-            for state in _position_states(item.ls):
-                entry = _entry(state, item, n)
+                e = None                 # the state's entry, once a member is asked
                 placed = state.arg2      # an entity, or each bundle member
                 for ref in (placed,) if placed.kind == "entity" else placed.members:
-                    slot = found.setdefault(ref.sense, [ref, None])
-                    slot[1] = _advance(slot[1], entry)
-        return [(ref, cur) for ref, cur in found.values()]
-
-    def past_positions(self, entity: Referent) -> list[PositionEntry]:
-        """Each location the entity was at, once, in context order; one
-        read of the entries gives both these and the current position.  A
-        bundle was at a location when all its members were, the rule of
-        `current_position`."""
-        members = entity.members if entity.kind == "bundle" else (entity,)
-        entries = sorted(((k, e) for k, member in enumerate(members)
-                          for e in self.positions_of(member)), key=lambda ke: ke[1].index)
-        curs: list[PositionEntry | None] = [None] * len(members)
-        deduped: list[PositionEntry] = []
-        for k, e in entries:
-            curs[k] = _advance(curs[k], e)
-            if e.polarity == "positive" \
-                    and all(c is e or c is not None and _same_location(c.state, e.state)
-                            for c in curs) \
-                    and not any(_same_location(d.state, e.state) for d in deduped):
-                deduped.append(e)
-        cur = _common(curs)
-        if not self.config.include_current_position and cur is not None:
-            deduped = [e for e in deduped if not _same_location(e.state, cur.state)]
-        return deduped
+                    if senses is None or ref.sense in senses:
+                        if e is None:
+                            e = _entry(state, item, n)
+                        slot = found.setdefault(ref.sense, [ref, None])
+                        slot[1] = _advance(slot[1], e)
+                if past and e is not None and e.polarity == "positive" \
+                        and all(c is e or c is not None and _same_location(c.state, e.state)
+                                for c in (found.get(s, (None, None))[1] for s in senses)) \
+                        and not any(_same_location(d.state, e.state) for d in places):
+                    places.append(e)
+        return found, places
 
     def held_now(self, holder: Referent) -> list[tuple[Referent, int]]:
         """Replay the have' ledger: the objects held now, each with the
@@ -337,7 +308,7 @@ class ContextTracker:
         """
         ledger: list[list] = []   # [obj referent, item of the latest gain or None]
         for n, item in enumerate(self.items, 1):
-            for ev in have_events(item.ls, n):
+            for ev in have_events(item.ls):
                 if ev.party.kind == "unspecified":
                     continue
                 if not referent_matches(holder, ev.party) \
@@ -378,8 +349,9 @@ class ContextTracker:
             return self._answer_polar(ls, ops)
         if focus == "who" and isinstance(ls, State) and ls.pred in _POSITION_PREDS:
             return self._answer_who_position(ls, ops)
-        if have_events(ls):
-            return self._answer_transfer(ls, ops, focus)
+        wanted = have_events(ls)
+        if wanted:
+            return self._answer_transfer(ls, ops, focus, wanted)
         raise UnsupportedQuestionError(
             f"no matching frame class for {render(ls, self.lexicon)}")
 
@@ -390,18 +362,22 @@ class ContextTracker:
             if not states:
                 raise UnsupportedQuestionError("no position slot to solve for")
             ls = states[0]
-        entity = ls.arg2
-        if ops.tense != "past":
-            cur = self.current_position(entity)
+        entity, past = ls.arg2, ops.tense == "past"
+        found, places = self._positions(entity, past)
+        curs = [found.get(m.sense, (None, None))[1] for m in entity.members or (entity,)]
+        # an entity's own current position; a bundle's, its members' common one
+        cur = curs[0] if len(curs) == 1 else _common(curs)
+        if not past:
             if cur is None:
                 return AnswerContent("content", bindings=[], echo=ops, topic=entity)
             return AnswerContent(
                 "content", bindings=[_position_value(cur.state)],
                 echo=ops, topic=entity, support=[cur.index], item_tense=cur.tense)
-        entries = self.past_positions(entity)
+        if not self.config.include_current_position and cur is not None:
+            places = [e for e in places if not _same_location(e.state, cur.state)]
         return AnswerContent(
-            "content", bindings=[_position_value(e.state) for e in entries],
-            echo=ops, topic=entity, support=[e.index for e in entries])
+            "content", bindings=[_position_value(e.state) for e in places],
+            echo=ops, topic=entity, support=[e.index for e in places])
 
     def _answer_polar(self, ls, ops: OperatorSet) -> AnswerContent:
         """Yes when the content twin binds the asked value (see the module
@@ -414,7 +390,7 @@ class ContextTracker:
             return AnswerContent("polar", polarity="yes" if yes else "no",
                                  echo=ops, topic=ls.arg1, aux_hint="do")
         if not (isinstance(ls, State) and ls.pred in _POSITION_PREDS):
-            matched = self._answer_transfer(ls, ops, None).support
+            matched = self._answer_transfer(ls, ops, None, have_events(ls)).support
             return AnswerContent("polar", polarity="yes" if matched else "no",
                                  echo=ops, topic=next(iter(walk_referents(ls)), None),
                                  aux_hint="do", support=matched)
@@ -443,7 +419,7 @@ class ContextTracker:
         """Entities whose current position matches the queried location."""
         bindings = []
         support = []
-        for ref, cur in self._located_positions():
+        for ref, cur in self._positions()[0].values():
             if cur is not None and _same_location(cur.state, ls):
                 bindings.append(ref)
                 support.append(cur.index)
@@ -464,19 +440,20 @@ class ContextTracker:
         return AnswerContent(kind, bindings=[obj for obj, _ in rows],
                              echo=ops, topic=holder, support=[i for _, i in rows])
 
-    def _answer_transfer(self, ls, ops: OperatorSet, focus: str | None) -> AnswerContent:
-        """The items that match a transfer question, in context order.  A
-        bare BECOME have' question (one positive have' leaf, no CAUSE)
-        matches each item's receive candidates; any other unifies with
-        each item."""
-        wanted = have_events(ls)
+    def _answer_transfer(self, ls, ops: OperatorSet, focus: str | None,
+                         wanted: list[HaveEvent]) -> AnswerContent:
+        """The items that match a transfer question, whose have' leaves are
+        `wanted`, in context order.  A bare BECOME have' question (one
+        positive have' leaf, no CAUSE) matches each item's receive
+        candidates; any other unifies with each item.  An unspecified
+        party ("The milk was given to John.") answers nothing."""
         bindings: list[Referent] = []
         support: list[int] = []
         if len(wanted) == 1 and wanted[0].positive \
                 and not (isinstance(ls, Linked) and ls.link == "CAUSE"):
             q = wanted[0]
             for n, item in enumerate(self.items, 1):
-                for ev in item_receive_candidates(item, n, self.config.strict_receive):
+                for ev in item_receive_candidates(item.ls, self.config.strict_receive):
                     if referent_matches(q.party, ev.party) and referent_matches(q.obj, ev.obj):
                         bindings.append(ev.party if q.party.is_query else ev.obj)
                         support.append(n)
@@ -486,9 +463,10 @@ class ContextTracker:
                 if result is None:
                     continue
                 value = result.get(focus)
-                if isinstance(value, Referent):
+                if focus is None:       # polar: cite every match
+                    support.append(n)
+                elif isinstance(value, Referent) and value.kind != "unspecified":
                     bindings.append(value)
-                if isinstance(value, Referent) or focus is None:   # polar: cite every match
                     support.append(n)
         topic = next((r for r in walk_referents(ls)
                       if r.kind in ("entity", "bundle")), None)
@@ -505,12 +483,12 @@ def latest_match(content: AnswerContent) -> AnswerContent:
                    support=content.support[-1:])
 
 
-def item_receive_candidates(item: Proposition, index: int, strict: bool) -> list[HaveEvent]:
-    """Positive gains in item number `index`; with strict receiving, only
-    gains with a distinct transfer source count (self-acquisitions are
-    excluded)."""
+def item_receive_candidates(ls, strict: bool) -> list[HaveEvent]:
+    """Positive gains in an item's logical structure; with strict
+    receiving, only gains with a distinct transfer source count
+    (self-acquisitions are excluded)."""
     out = []
-    for ev in have_events(item.ls, index):
+    for ev in have_events(ls):
         if not ev.positive or ev.party.kind == "unspecified":
             continue
         if strict:

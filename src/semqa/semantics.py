@@ -214,16 +214,11 @@ def build_state(lexicon, pred: str, arg1: Referent, arg2: Referent = UNSPECIFIED
 
 
 def position_pred_for(lexicon, location: Referent) -> str:
-    """Choose be-in/be-on/be-at from the location's dimensionality class."""
+    """Choose be-in/be-on/be-at from the location's dimensionality class;
+    the matcher casts only a question slot or an entity that has one."""
     if location.kind in ("query", "unspecified"):
         return ANY_POSITION_PRED
-    if location.kind != "entity" or location.sense is None:
-        raise SemanticsError("destination must be an entity referent")
-    dim = lexicon.dimensionality_of(location.sense)
-    if dim is None:
-        raise SemanticsError(
-            f"{location.sense!r} lacks a dimensionality class (lexicon gap)")
-    return DIMENSIONALITY[dim]
+    return DIMENSIONALITY[lexicon.dimensionality_of(location.sense)]
 
 
 def build_active_achievement(lexicon, actor: Referent, motion_pred: str,

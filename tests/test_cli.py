@@ -177,6 +177,12 @@ def test_repl_bare_polar_style(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "Yes."
 
 
+def test_repl_full_polar_style(monkeypatch, capsys):
+    _feed(monkeypatch, ["Mary went to the kitchen.", "Is Mary in the kitchen?"])
+    assert main(["repl", "--polar-style", "full"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "Yes, she was in the kitchen."
+
+
 def test_repl_session(monkeypatch, capsys):
     lines = iter(["Mary went to the kitchen.", "Where is Mary?", ":trace", ":quit"])
     monkeypatch.setattr("builtins.input", lambda _="": next(lines))

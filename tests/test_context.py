@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ingest_all, make_tracker
+from semqa import context
 from semqa.context import (
     ContextError,
     ContextTracker,
+    PositionEntry,
     PronounResolutionError,
     UnsupportedQuestionError,
     have_events,
@@ -20,7 +22,15 @@ from semqa.context import (
 from semqa.lexicon import Lexicon, LexiconError
 from semqa.matcher import MeaninglessError, Proposition
 from semqa.nlg import RealizationRequest, realize_answer
-from semqa.semantics import State, antecedents, bundle, entity, render, walk_referents
+from semqa.semantics import (
+    State,
+    antecedents,
+    bundle,
+    entity,
+    referent_matches,
+    render,
+    walk_referents,
+)
 
 MARY = entity("r:mary", "proper", "female", "singular")
 DANIEL = entity("r:daniel", "proper", "male", "singular")
@@ -376,32 +386,39 @@ def test_each_summary_is_folded_once(lex, matcher):
 
 # -- positions -----------------------------------------------------------------
 
+def _places(content):
+    return [b.arg1.sense for b in content.bindings]
+
+
 def test_positions_in_context_order(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), [
         "Mary went to the bathroom.",
         "John moved to the hallway.",
         "Mary travelled to the office."])
-    heads = [e.state.arg1.sense for e in t.positions_of(MARY)]
-    assert heads == ["r:bathroom", "r:office"]
+    past = answer(matcher, t, "Where was Mary?")
+    assert (_places(past), past.support) == (["r:bathroom", "r:office"], [1, 3])
 
 
 def test_positions_via_bundle_membership(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), ["Mary and Jeff went to the kitchen."])
-    assert [e.state.arg1.sense for e in t.positions_of(MARY)] == ["r:kitchen"]
+    assert _places(answer(matcher, t, "Where was Mary?")) == ["r:kitchen"]
+    found, _ = t._positions(MARY)
+    assert [(ref.sense, cur.index) for ref, cur in found.values()] == [("r:mary", 1)]
 
 
 def test_positions_of_unknown_entity(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), ["Mary went to the bathroom."])
-    assert t.positions_of(FRED) == []
+    assert answer(matcher, t, "Where was Fred?").bindings == []
+    assert t._positions(FRED) == ({}, [])
 
 
 def test_present_answer_is_suffix_of_past_list(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), [
         "Mary went to the bathroom.", "Mary went to the kitchen.",
         "Mary went to the office."])
-    past = t.past_positions(MARY)
-    cur = t.current_position(MARY)
-    assert cur.state.arg1.sense == past[-1].state.arg1.sense
+    past = answer(matcher, t, "Where was Mary?")
+    now = answer(matcher, t, "Where is Mary?")
+    assert _places(now) == _places(past)[-1:] and now.support == past.support[-1:]
 
 
 # -- possession ledger -----------------------------------------------------------
@@ -445,6 +462,21 @@ def test_transfer_updates_both_parties(lex, matcher):
         "Bill picked up the milk.", "Bill gave the milk to Mary."])
     assert t.held_now(entity("r:bill")) == []
     assert [o.sense for o, _ in t.held_now(MARY)] == ["r:milk"]
+
+
+@pytest.mark.parametrize("question", [
+    "Who gave the milk to John?",        # unified with each item
+    "Who received the milk?",            # matched against each item's gains
+    "Did Mary give the milk to John?",   # the polar twin extracts them itself
+])
+def test_a_transfer_question_reads_its_have_leaves_once(lex, matcher, monkeypatch, question):
+    t = ingest_all(matcher, make_tracker(lex), HANDOVER)
+    prop = matcher.parse_single(question)
+    read = []
+    extract = context.have_events
+    monkeypatch.setattr(context, "have_events", lambda ls: read.append(ls) or extract(ls))
+    t.answer_question(prop)
+    assert read.count(prop.ls) == 1
 
 
 def test_have_events_extraction(lex, matcher):
@@ -500,15 +532,24 @@ MARY_MOVES = ["Mary went to the kitchen.", "Mary travelled to the garden.",
 ])
 def test_where_past_reads_the_positions_once(lex, matcher, monkeypatch, include_current,
                                               story, expected):
-    t = ingest_all(matcher, make_tracker(lex, include_current_position=include_current), story)
-    scans = []
-    positions_of = type(t).positions_of
-    monkeypatch.setattr(type(t), "positions_of",
-                        lambda self, e: scans.append(e) or positions_of(self, e))
+    t = ingest_all(matcher, make_tracker(lex, include_current_position=include_current),
+                   story + ["John went to the garden."])
+    reads = []
+    position_states = context._position_states
+
+    def counted(term, found=None):     # a top-level call only; it recurses with `found`
+        if found is None:
+            reads.append(term)
+        return position_states(term, found)
+
+    monkeypatch.setattr(context, "_position_states", counted)
     content = answer(matcher, t, "Where was Mary?")
     assert [render(b) for b in content.bindings] == [
         f"be-in'(the {place},0)" for place in expected]
-    assert len(scans) == 1
+    assert reads == [item.ls for item in t.items]
+    reads.clear()
+    answer(matcher, t, "Where were Mary and John?")     # once, not once per member
+    assert reads == [item.ls for item in t.items]
 
 
 @pytest.mark.parametrize("include_current, place, yes", [
@@ -694,6 +735,7 @@ def test_handover_answers(lex, matcher, question, keyword, support):
 
 
 PASSIVE_GIVE = ["The milk was given to Mary."]   # the giver is left unspecified
+PASSIVE_JOHN = ["The milk was given to John."]
 
 
 @pytest.mark.parametrize("story, question, expected", [
@@ -726,6 +768,13 @@ PASSIVE_GIVE = ["The milk was given to Mary."]   # the giver is left unspecified
     # a bundle asked against a bundle item matches the same members only
     (["Mary and John picked up the milk."], "Did Mary and John pick up the milk?", "yes"),
     (["Mary and John picked up the milk."], "Did Mary and Fred pick up the milk?", "no"),
+    # an entity asked against an unspecified giver, a bundle against one picker
+    (PASSIVE_JOHN, "Did Mary give the milk to John?", "no"),
+    (["Mary picked up the milk."], "Did Mary and John pick up the milk?", "no"),
+    # an unspecified party is never an answer
+    (PASSIVE_JOHN, "Who gave the milk to John?", "unknown"),
+    (["Mary gave the milk."], "Who did Mary give the milk to?", "unknown"),
+    (["Mary gave the milk to John."] + PASSIVE_JOHN, "Who gave the milk to John?", "mary"),
 ])
 def test_story_answer_or_typed_error(lex, matcher, story, question, expected):
     def keyword_answer():
@@ -800,6 +849,28 @@ def test_a_polar_answer_is_membership_in_its_content_twin(lex, matcher, synth, d
                   lambda b: b.sense == f"r:{thing}")
     assert polar.polarity == ("yes" if hits else "no")
     assert (polar.bindings, polar.support) == ([], [n for _, n in hits])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_every_answer_agrees_with_the_simulator_after_every_statement(lex, matcher, synth,
+                                                                      data):
+    """Ingests and questions interleaved: after each synthetic statement
+    (motion with pronouns and pairs, possession, and "is in", "is not in"
+    and "no longer" lines once someone is placed), one question of every
+    probe kind gets the natural answer the world simulator expects."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    w, t = synth.World(), make_tracker(lex)
+    for _ in range(data.draw(st.integers(1, 40))):
+        text = synth.gen_location(rng, w) if w.position and rng.random() < 0.2 \
+            else synth.mixed_statement(rng, w)
+        t.ingest(matcher.parse_single(text))
+        for kind in dict.fromkeys(synth.PROBE_MIX):
+            q = synth.mixed_question(rng, w, kind)
+            said = realize_answer(RealizationRequest(
+                t.answer_question(matcher.parse_single(synth.question_text(q))),
+                mode="natural"), lex)
+            assert synth.natural_ok(q, said), (text, synth.question_text(q), said, q.truth)
 
 
 # -- one pass per question, shared structures, no cyclic garbage ----------------
@@ -884,7 +955,10 @@ def _expected_located(t):
             for m in (r.members if r.kind == "bundle" else (r,)):
                 if m.kind == "entity":
                     refs.setdefault(m.sense, m)
-    entries = {s: t.positions_of(r) for s, r in refs.items()}
+    entries = {s: [PositionEntry(state, item.operators.polarity, n, item.operators.tense)
+                   for n, item in enumerate(t.items, 1)
+                   for state in context._position_states(item.ls)
+                   if referent_matches(r, state.arg2)] for s, r in refs.items()}
     located = sorted((s for s in refs if entries[s]), key=lambda s: (
         entries[s][0].index, named(t.items[entries[s][0].index - 1]).index(s)))
     return [(refs[s].sense, _per_entity_rule(entries[s])) for s in located]
@@ -895,8 +969,8 @@ def test_one_pass_fold_agrees_with_the_per_entity_rule(lex, matcher, synth, seed
     negatives = 0
     for _, _, t in _mixed_tracker(lex, matcher, synth, seed, 80, locations=True):
         negatives += t.items[-1].operators.polarity == "negative"
-        located = t._located_positions()
+        located = t._positions()[0].values()
         assert [(ref.sense, cur) for ref, cur in located] == _expected_located(t)
-        for ref, cur in located:
-            assert t.current_position(ref) == cur
+        for ref, cur in located:      # the asked fold keeps the same slot
+            assert list(t._positions(ref)[0].values()) == [[ref, cur]]
     assert negatives

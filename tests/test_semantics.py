@@ -76,11 +76,6 @@ def test_active_achievement_surface_uses_on(lex):
     assert "be-on'(the mat,mary)" in render(ls)
 
 
-def test_active_achievement_needs_dimensionality(lex):
-    with pytest.raises(SemanticsError, match="dimensionality"):
-        build_active_achievement(lex, MARY, "p:go", MILK)
-
-
 def test_transfer_give():
     ls = build_transfer(MARY, MILK, BILL, causative=True, direction="to")
     assert render(ls) == ("[do'(mary,0)] CAUSE [BECOME NOT have'(mary,the milk)"
