@@ -9,11 +9,13 @@ behaviour.
 
 The corpus is `test_shapes.oracle_sentences` (fixture lines, synthetic
 family lines, random lines, the verb-group grid and the shape and copula
-lists), then a linking grid, then a few probes.  The grid crosses a
-subject, one verb per distinct selectional frame in the active and the
-passive, and a complement: none, one object, two objects, a to, from or
-by phrase, a by-bundle, or a stranded to, from, by or in.  Each cell is
-a statement and a fronted who, what and where question.
+lists), then a linking grid, then a few probes, then a question grid.
+The linking grid crosses a subject, one verb per distinct selectional
+frame in the active and the passive, and a complement: none, one object,
+two objects, a to, from or by phrase, a by-bundle, or a stranded to,
+from, by or in.  Each cell is a statement and a fronted who, what and
+where question.  The question grid holds the fronted polar question of
+each cell of `question_grid`.
 
 A change that keeps every parse leaves `golden/parses.txt` byte-identical.
 After an intended change, regenerate it with
@@ -27,12 +29,14 @@ from __future__ import annotations
 
 import difflib
 import itertools
+from itertools import product
 from pathlib import Path
 
 import semqa
 from semqa.errors import SemqaError
 from semqa.matcher import Matcher
-from semqa.semantics import render
+from semqa.nlg import realize_verb_group, split_fronted_aux
+from semqa.semantics import OperatorSet, render
 
 from test_shapes import oracle_sentences
 
@@ -75,7 +79,30 @@ PROBES = (
     "He was moved.",
     "Mary went to it.",
     "Where will Mary be?",
+    "Is Mary not in the kitchen?",
+    "Did Mary not go to the kitchen?",
+    "Was the milk not given to John?",
+    "Is Mary no longer in the kitchen?",
+    "How many objects Mary is carrying?",
+    "Did Mary who went to the kitchen go to the garden?",
+    "Did Mary who was going to the kitchen go to the garden?",
+    "Where did Mary who went to the kitchen go?",
+    "Who did Mary who went to the kitchen give the milk to?",
+    "Where is Mary who went to the kitchen?",
+    "Is Mary who went to the kitchen in the garden?",
+    "Is Mary who is no longer in the kitchen in the garden?",
 )
+# a verb per template but be-state and have-state, its active complement,
+# and its passive subject and complement (None for a verb with no passive)
+ROUND_TRIP_VERBS = (
+    ("p:go", " to the kitchen", None),
+    ("p:drop", " the milk", ("the milk", " by Mary")),
+    ("p:give", " the milk to John", ("the milk", " to John by Mary")),
+    ("p:read", " the book", ("the book", " by Mary")),
+)
+# tense x perfect x progressive x polarity
+OPERATOR_SETS = tuple(product(("past", "present", "future"), (False, True), (False, True),
+                              ("positive", "negative")))
 
 
 def verbs(lex):
@@ -119,8 +146,32 @@ def linking_grid(lex) -> list[str]:
     return texts
 
 
+def question_grid(lex) -> list[tuple[OperatorSet, str, str]]:
+    """(operators, statement, fronted question) for each verb of
+    `ROUND_TRIP_VERBS`, operator set and voice.  The statement is the
+    subject, the realized verb group and the complement; the question
+    fronts the group's first word, or "Did" or "Does" before the base form
+    when the group is one word."""
+    cells = []
+    for (pred, active, passive), (tense, perfect, progressive, polarity) in product(
+            ROUND_TRIP_VERBS, OPERATOR_SETS):
+        voices = [("active", "Mary", active)] + ([("passive", *passive)] if passive else [])
+        for voice, subject, complement in voices:
+            ops = OperatorSet(tense=tense, perfect=perfect, progressive=progressive,
+                              voice=voice, polarity=polarity)
+            group = realize_verb_group(ops, pred, lex)
+            fronted, rest = split_fronted_aux(group)
+            if not rest:
+                fronted, rest = ("Did" if tense == "past" else "Does"), lex.inflect(pred, "base")
+            statement = f"{subject} {group}{complement}."
+            cells.append((ops, statement[0].upper() + statement[1:],
+                          f"{fronted} {subject} {rest}{complement}?"))
+    return cells
+
+
 def corpus(lex) -> list[str]:
-    return list(dict.fromkeys(oracle_sentences(lex) + linking_grid(lex) + list(PROBES)))
+    return list(dict.fromkeys(oracle_sentences(lex) + linking_grid(lex) + list(PROBES)
+                              + [question for _, _, question in question_grid(lex)]))
 
 
 def _clause(prop, lex) -> str:
