@@ -41,8 +41,8 @@ keeps its retained element's verb flag (a bundle is no verb; the loader
 rejects a consolidation whose `attrs=` names a template), so the main
 verb, a leftover auxiliary and the verbs after a relative marker are
 read off the flag.  Main and relative clauses go through one clause
-step, which finds the clause's main verbs once for operator extraction
-and predication alike.  A consolidated element gets its openers when it
+step, in which operator extraction and predication read the main verb
+off the flag and change nothing.  A consolidated element gets its openers when it
 is made, from a table keyed by the fields a first selector reads
 (surface, sense ids, universals, reach, attributes); an entity referent
 comes from a table keyed by its sense and the ops and attributes a
@@ -62,11 +62,15 @@ trigger is present, rescan from 0; `tests/test_fixpoint.py` keeps it):
   firing left alone, and every consolidation already failed on it in an
   earlier round.
 
-The lexicon's `attrs=chain` records are the only verb-group rule.  A
-question's fronted auxiliary ("Will Mary go…?", "Did Mary go…?") is not
-adjacent to its verb, so after the fixpoint the first auxiliary that
-opens a chain record joins the first predicate after the subject through
-that same record, and the verb group reads as it would adjacently.
+The lexicon's `attrs=chain`, `aux-not` and `be-no-longer` records are the
+only verb-group rule, for statements and questions alike.  In RRG force is
+a clause operator like tense, and subject-auxiliary inversion is only how
+English speaks it.  So before the fixpoint a question's fronted auxiliary
+("Won't Mary be going…?", "Did Mary go…?"), with a negator right after
+it, moves back behind its subject, past a relative clause on the subject,
+and the fixpoint reads the verb group as it reads the statement's.  A
+relative clause ends at the next verb after its own verb group, before
+consolidation and after it alike.
 
 A parse depends only on the text's tokens and force hint and on the
 matcher: the lexicon is read-only, pronouns stay unresolved until the
@@ -321,6 +325,49 @@ def _tense_of(el: Element) -> str | None:
     return tense
 
 
+def _clause_end(elements: list[Element], at: int) -> int | None:
+    """Where the relative clause marked at `at` ends: at the next verb
+    after its own verb group (its first verb and the verbs and negators
+    right after it), else at the end; None when no verb follows `at`.
+    Consolidation merges a verb group into one of its members, so the
+    boundary is the same before and after it."""
+    n = len(elements)
+    j = next((j for j in range(at + 1, n) if elements[j].verb), None)
+    if j is None:
+        return None
+    while j < n and (elements[j].verb or "negation" in elements[j].attributes):
+        j += 1
+    return next((k for k in range(j, n) if elements[k].verb), n)
+
+
+def _unfront_aux(elements: list[Element]):
+    """Move a question's fronted auxiliary, with a negator right after it,
+    back behind its subject, in front of the first predicate or negator
+    after the subject: "Won't Mary be going…?" reads as "Mary won't be
+    going…".  The subject is the first plain referent after the auxiliary,
+    and a relative clause on it is skipped.  Nothing moves when a
+    predicate comes before any subject ("Who is in the kitchen?") or none
+    comes after it ("Where is Mary?")."""
+    at = next((i for i, el in enumerate(elements) if "aux" in el.attributes), None)
+    if at is None:
+        return
+    end = at + 1
+    if end < len(elements) and "negation" in elements[end].attributes:
+        end += 1
+    k, subject = end, False
+    while k < len(elements) and "predicate" not in elements[k].cats \
+            and "negation" not in elements[k].attributes:
+        el = elements[k]
+        if subject and "q:who" in el.ids:
+            k = _clause_end(elements, k) or len(elements)
+        else:
+            subject = subject or (el.is_referent() and not el.is_query())
+            k += 1
+    if subject and k < len(elements):
+        elements[k:k] = elements[at:end]
+        del elements[at:end]
+
+
 def tokenize(text: str) -> tuple[list[str], str]:
     """Lowercased word tokens plus an illocutionary-force hint from the
     terminal punctuation (? -> question, otherwise statement)."""
@@ -497,11 +544,14 @@ class Matcher:
             openers = _keep(self._opened, key, self._openers(el))
         return openers
 
-    def match_phrases(self, tokens: list[str]) -> list[Element]:
+    def match_phrases(self, tokens: list[str], if_hint: str = "statement") -> list[Element]:
         """Apply literal then consolidation patterns until no pattern fires;
         the loader makes every firing shrink the element list, so at most
-        `len(tokens) - 1` fire."""
+        `len(tokens) - 1` fire.  A question's fronted auxiliary is moved
+        back behind its subject first (`_unfront_aux`)."""
         elements = self._apply_literals(tokens)
+        if if_hint == "question":
+            _unfront_aux(elements)
         at = self._fire_first(elements, 0)
         while at is not None:
             at = self._fire_first(elements, max(0, at - self._reach_back))
@@ -509,51 +559,20 @@ class Matcher:
 
     # -- operator extraction ----------------------------------------------
 
-    def _main_candidates(self, elements: list[Element],
-                         if_hint: str = "statement") -> list[Element]:
-        """The unconsumed verbs, once a question's fronted auxiliary has
-        rejoined its verb."""
-        if if_hint == "question":
-            self._reunite_fronted_aux(elements)
-        return [el for el in elements if el.verb and "consumed" not in el.attributes]
+    def _main_candidates(self, elements: list[Element]) -> list[Element]:
+        """The clause's verbs."""
+        return [el for el in elements if el.verb]
 
-    def _reunite_fronted_aux(self, elements: list[Element]):
-        """Subject-auxiliary inversion and do-support questions split the
-        auxiliary from its verb.  The first auxiliary that opens a chain
-        record joins, through that record, the first predicate after the
-        subject, as it would have joined it adjacently."""
-        at = next((i for i, el in enumerate(elements)
-                   if "aux" in el.attributes and "consumed" not in el.attributes
-                   and any("chain" in p.attrs for p in el.openers)), None)
-        if at is None:
-            return
-        aux = elements[at]
-        seen_ref = False
-        for k in range(at + 1, len(elements)):
-            verb = elements[k]
-            if verb.is_referent() and not verb.is_query():
-                seen_ref = True
-            elif seen_ref and "predicate" in verb.cats:
-                for pat in aux.openers:
-                    if "chain" in pat.attrs and _selector_matches(pat.selectors[1], verb):
-                        elements[k] = self._consolidate(pat, [aux, verb])[0]
-                        aux.attributes.add("consumed")
-                        break
-                return
-
-    def extract_operators(self, elements: list[Element], if_hint: str = "statement",
-                          mains: list[Element] | None = None) -> OperatorSet:
-        """Resolve tense/aspect/voice/polarity/force from the verb group;
-        `mains` is `_main_candidates(elements, if_hint)` if already found."""
-        if mains is None:
-            mains = self._main_candidates(elements, if_hint)
+    def extract_operators(self, elements: list[Element],
+                          if_hint: str = "statement") -> OperatorSet:
+        """Resolve tense/aspect/voice/polarity/force from the verb group."""
+        mains = self._main_candidates(elements)
         if not mains:
             return OperatorSet(force=if_hint)
         verb = mains[0]
         leftover_aux = [
             el for el in elements
             if el is not verb
-            and "consumed" not in el.attributes
             and "aux" in el.attributes
             and not el.verb]
         if leftover_aux:
@@ -760,14 +779,12 @@ class Matcher:
             ls = Activity(roles["actor"], sense_id, roles.get("undergoer"))
         return ls, roles, consumed
 
-    def predicate_cast(self, elements: list[Element], ops: OperatorSet, source: str = "",
-                       mains: list[Element] | None = None) -> Proposition:
+    def predicate_cast(self, elements: list[Element], ops: OperatorSet,
+                       source: str = "") -> Proposition:
         """Convert a consolidated element set into one disambiguated
-        proposition; `mains` is `_main_candidates(elements)` if already
-        found.  Raises when no reading, or more than one distinct reading,
-        survives; equal readings keep the first."""
-        if mains is None:
-            mains = self._main_candidates(elements)
+        proposition.  Raises when no reading, or more than one distinct
+        reading, survives; equal readings keep the first."""
+        mains = self._main_candidates(elements)
         if not mains:
             return self._bare_position(elements, ops, source)
         if len(mains) > 1:
@@ -788,7 +805,6 @@ class Matcher:
                 continue
             leftovers = [el for el in elements
                          if el is not verb and id(el) not in consumed
-                         and "consumed" not in el.attributes
                          and not el.is_vacuous(self.lexicon)]
             if leftovers:
                 failures.append(
@@ -836,14 +852,8 @@ class Matcher:
             if ("q:who" in marker.ids
                     and head.is_complete_referent()
                     and not head.is_query()):
-                verb_positions = [
-                    j for j in range(i + 2, len(elements))
-                    if elements[j].verb]
-                if len(verb_positions) >= 2:
-                    end = verb_positions[1]
-                elif verb_positions:
-                    end = len(elements)
-                else:
+                end = _clause_end(elements, i + 1)
+                if end is None:
                     i += 1
                     continue
                 embedded.append(self._clause([head.copy()] + elements[i + 2:end],
@@ -856,11 +866,9 @@ class Matcher:
     # -- whole pipeline -------------------------------------------------------
 
     def _clause(self, elements: list[Element], hint: str, source: str) -> Proposition:
-        """One clause, main or relative: its main verbs found once, then
-        its operators and its one proposition."""
-        mains = self._main_candidates(elements, hint)
-        ops = self.extract_operators(elements, hint, mains)
-        return self.predicate_cast(elements, ops, source, mains)
+        """One clause, main or relative: its operators and its one
+        proposition."""
+        return self.predicate_cast(elements, self.extract_operators(elements, hint), source)
 
     def parse_utterance(self, text: str) -> Proposition:
         """Full pipeline: the text's one proposition.  A repeated text is
@@ -922,7 +930,7 @@ class Matcher:
         """A cold parse of `text`, already tokenized."""
         if not tokens:
             raise MeaninglessError(f"nothing to match in {text!r}")
-        elements = self.match_phrases(tokens)
+        elements = self.match_phrases(tokens, hint)
         relatives = self._extract_relatives(elements, text)
         prop = self._clause(elements, hint, text)
         if relatives:

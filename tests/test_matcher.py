@@ -96,7 +96,7 @@ def test_split_particle_consolidates_same_as_adjacent(matcher):
 
 def _ops_for(matcher, text):
     tokens, hint = tokenize(text)
-    elements = matcher.match_phrases(tokens)
+    elements = matcher.match_phrases(tokens, hint)
     return matcher.extract_operators(elements, hint)
 
 
@@ -201,6 +201,8 @@ def test_a_second_sense_that_adds_no_reading(matcher, records, text):
     ("Mary and John.", MeaninglessError),
     ("Mary went to the kitchen garden.", MeaninglessError),
     ("Mary went to the kitchen .", None),    # tokenize drops the bare "."
+    # the count slot takes its counted noun once, and Mary stays the holder
+    ("How many objects Mary is carrying?", "have'(mary,How-many)"),
 ])
 def test_sentence_outcomes(matcher, text, outcome):
     # an error class, a rendered logical structure, or None: that of the
@@ -436,6 +438,12 @@ def test_question_word_order_reordered(matcher):
     ("Was Mary going to the kitchen?", "Mary was going to the kitchen."),
     ("Was the milk given to Mary?", "The milk was given to Mary."),
     ("Are Mary and John going to the kitchen?", "Mary and John are going to the kitchen."),
+    ("Was the milk not given to John?", "The milk was not given to John."),
+    ("Is Mary not in the kitchen?", "Mary is not in the kitchen."),
+    ("Did Mary not go to the kitchen?", "Mary did not go to the kitchen."),
+    ("Is Mary no longer in the kitchen?", "Mary is no longer in the kitchen."),
+    ("Did Mary who went to the kitchen go to the garden?",
+     "Mary who went to the kitchen did go to the garden."),
 ])
 def test_fronted_auxiliary_reads_as_adjacent(matcher, fronted, adjacent):
     # the fronted auxiliary joins its verb through the same chain record

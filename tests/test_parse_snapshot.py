@@ -210,6 +210,23 @@ def test_parses_match_golden_snapshot(lex):
                              + "\n".join(itertools.islice(diff, 200)))
 
 
+def test_fronted_questions_read_as_their_statements(lex):
+    matcher = Matcher(lex)
+    cells = question_grid(lex)
+    wrong = []
+    for ops, statement, question in cells:
+        said = matcher.parse_utterance(statement)
+        assert said.operators == ops, statement
+        try:
+            asked = matcher.parse_utterance(question)
+        except SemqaError as exc:
+            wrong.append(f"{question} => ! {type(exc).__name__}")
+            continue
+        if asked.operators != ops.with_(force="question") or asked.ls != said.ls:
+            wrong.append(parse_line(matcher, question))
+    assert len(cells) == 168 and wrong == []
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(build_parse_snapshot(semqa.load_core_lexicon()), "utf-8")
     print(f"wrote {GOLDEN}")
