@@ -42,11 +42,11 @@ rejects a consolidation whose `attrs=` names a template), so the main
 verb, a leftover auxiliary and the verbs after a relative marker are
 read off the flag.  Main and relative clauses go through one clause
 step, in which operator extraction and predication read the main verb
-off the flag and change nothing.  A consolidated element gets its openers when it
-is made, from a table keyed by the fields a first selector reads
-(surface, sense ids, universals, reach, attributes); an entity referent
-comes from a table keyed by its sense and the ops and attributes a
-referent keeps.
+off the flag and change nothing.  A consolidated element gets its
+openers when it is made, from a table keyed by the fields a first
+selector reads (surface, sense ids, universals, reach, attributes); an
+entity referent comes from a table keyed by its sense and the ops and
+attributes a referent keeps.
 
 Each fixpoint round fires the first consolidation, in lexicon order, at
 the lowest position where its window matches, and the next round resumes
@@ -325,7 +325,7 @@ def _tense_of(el: Element) -> str | None:
     return tense
 
 
-def _clause_end(elements: list[Element], at: int) -> int | None:
+def _relative_end(elements: list[Element], at: int) -> int | None:
     """Where the relative clause marked at `at` ends: at the next verb
     after its own verb group (its first verb and the verbs and negators
     right after it), else at the end; None when no verb follows `at`.
@@ -359,7 +359,7 @@ def _unfront_aux(elements: list[Element]):
             and "negation" not in elements[k].attributes:
         el = elements[k]
         if subject and "q:who" in el.ids:
-            k = _clause_end(elements, k) or len(elements)
+            k = _relative_end(elements, k) or len(elements)
         else:
             subject = subject or (el.is_referent() and not el.is_query())
             k += 1
@@ -852,7 +852,7 @@ class Matcher:
             if ("q:who" in marker.ids
                     and head.is_complete_referent()
                     and not head.is_query()):
-                end = _clause_end(elements, i + 1)
+                end = _relative_end(elements, i + 1)
                 if end is None:
                     i += 1
                     continue

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import difflib
 import itertools
-from itertools import product
 from pathlib import Path
 
 import semqa
@@ -101,8 +100,8 @@ ROUND_TRIP_VERBS = (
     ("p:read", " the book", ("the book", " by Mary")),
 )
 # tense x perfect x progressive x polarity
-OPERATOR_SETS = tuple(product(("past", "present", "future"), (False, True), (False, True),
-                              ("positive", "negative")))
+OPERATOR_SETS = tuple(itertools.product(("past", "present", "future"), (False, True), (False, True),
+                                        ("positive", "negative")))
 
 
 def verbs(lex):
@@ -153,7 +152,7 @@ def question_grid(lex) -> list[tuple[OperatorSet, str, str]]:
     fronts the group's first word, or "Did" or "Does" before the base form
     when the group is one word."""
     cells = []
-    for (pred, active, passive), (tense, perfect, progressive, polarity) in product(
+    for (pred, active, passive), (tense, perfect, progressive, polarity) in itertools.product(
             ROUND_TRIP_VERBS, OPERATOR_SETS):
         voices = [("active", "Mary", active)] + ([("passive", *passive)] if passive else [])
         for voice, subject, complement in voices:
@@ -219,10 +218,10 @@ def test_fronted_questions_read_as_their_statements(lex):
         assert said.operators == ops, statement
         try:
             asked = matcher.parse_utterance(question)
-        except SemqaError as exc:
-            wrong.append(f"{question} => ! {type(exc).__name__}")
-            continue
-        if asked.operators != ops.with_(force="question") or asked.ls != said.ls:
+        except SemqaError:
+            asked = None
+        if asked is None or asked.operators != ops.with_(force="question") \
+                or asked.ls != said.ls:
             wrong.append(parse_line(matcher, question))
     assert len(cells) == 168 and wrong == []
 
