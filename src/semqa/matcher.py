@@ -69,8 +69,9 @@ English speaks it.  So before the fixpoint a question's fronted auxiliary
 ("Won't Mary be going…?", "Did Mary go…?"), with a negator right after
 it, moves back behind its subject, past a relative clause on the subject,
 and the fixpoint reads the verb group as it reads the statement's.  A
-relative clause ends at the next verb after its own verb group, before
-consolidation and after it alike.
+relative clause's verb group runs from its first verb past auxiliaries
+and negators, and the clause ends at the next verb or negator after it,
+before consolidation and after it alike.
 
 A parse depends only on the text's tokens and force hint and on the
 matcher: the lexicon is read-only, pronouns stay unresolved until the
@@ -326,18 +327,22 @@ def _tense_of(el: Element) -> str | None:
 
 
 def _relative_end(elements: list[Element], at: int) -> int | None:
-    """Where the relative clause marked at `at` ends: at the next verb
-    after its own verb group (its first verb and the verbs and negators
-    right after it), else at the end; None when no verb follows `at`.
-    Consolidation merges a verb group into one of its members, so the
-    boundary is the same before and after it."""
+    """Where the relative clause marked at `at` ends: at the next verb or
+    negator after its own verb group, else at the end; None when no verb
+    follows `at`.  The group runs from the clause's first verb on past
+    auxiliaries and negators, and ends at the first other element, so
+    "who spoke went" ends before "went" and "who was not going" takes
+    the whole group.  Consolidation merges a chain into its last verb and
+    a negator into its auxiliary, so the boundary is the same before and
+    after it."""
     n = len(elements)
     j = next((j for j in range(at + 1, n) if elements[j].verb), None)
     if j is None:
         return None
-    while j < n and (elements[j].verb or "negation" in elements[j].attributes):
+    while j < n and not {"aux", "negation"}.isdisjoint(elements[j].attributes):
         j += 1
-    return next((k for k in range(j, n) if elements[k].verb), n)
+    return next((k for k in range(j + 1, n) if elements[k].verb
+                 or "negation" in elements[k].attributes), n)
 
 
 def _unfront_aux(elements: list[Element]):

@@ -361,6 +361,23 @@ def test_embedded_clause_precedes_host(matcher):
     assert "the garden" in render(prop.ls)
 
 
+@pytest.mark.parametrize("text, outcome", [
+    # a relative clause's verb group ends at its first verb that is no
+    # auxiliary, so a main verb right after it stays in the main clause
+    ("Mary who spoke went to the kitchen.",
+     "[past,positive] do'(mary,[speak'(mary)])"
+     " / [past,positive] do'(mary,[go'(mary)]) & INGR be-in'(the kitchen,mary)"),
+    ("Mary who was reading went to the kitchen.",
+     "[past,positive,progressive] do'(mary,[read'(mary)])"
+     " / [past,positive] do'(mary,[go'(mary)]) & INGR be-in'(the kitchen,mary)"),
+    ("Mary who had been reading went to the kitchen.",
+     "[past,positive,progressive,perfect] do'(mary,[read'(mary)])"
+     " / [past,positive] do'(mary,[go'(mary)]) & INGR be-in'(the kitchen,mary)"),
+])
+def test_relative_clause_ends_before_the_main_verb(matcher, text, outcome):
+    assert reading(matcher, text) == outcome
+
+
 def test_conjunction_kept_as_bundle(matcher):
     prop = parse(matcher, "Mary and Jeff went to the kitchen")
     assert render(prop.ls) == ("do'(mary and jeff,[go'(mary and jeff)])"
@@ -444,6 +461,9 @@ def test_question_word_order_reordered(matcher):
     ("Is Mary no longer in the kitchen?", "Mary is no longer in the kitchen."),
     ("Did Mary who went to the kitchen go to the garden?",
      "Mary who went to the kitchen did go to the garden."),
+    ("Did Mary who spoke go to the garden?", "Mary who spoke did go to the garden."),
+    ("Did Mary who went to the kitchen not go to the garden?",
+     "Mary who went to the kitchen did not go to the garden."),
 ])
 def test_fronted_auxiliary_reads_as_adjacent(matcher, fronted, adjacent):
     # the fronted auxiliary joins its verb through the same chain record

@@ -90,6 +90,9 @@ PROBES = (
     "Where is Mary who went to the kitchen?",
     "Is Mary who went to the kitchen in the garden?",
     "Is Mary who is no longer in the kitchen in the garden?",
+    "Mary who spoke went to the kitchen.",
+    "Did Mary who spoke go to the garden?",
+    "Did Mary who went to the kitchen not go to the garden?",
 )
 # a verb per template but be-state and have-state, its active complement,
 # and its passive subject and complement (None for a verb with no passive)
