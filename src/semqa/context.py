@@ -37,16 +37,18 @@ the bAbI datasets expect); an unspecified party is never an answer.
 
 A polar question is its content twin plus a membership test: yes when
 the twin, answered by the one method for its view, binds the asked
-value.  "Is Mary in the kitchen?" (or "Will Mary be ...?") asks "Where is
-Mary?", "Was Mary in the kitchen?" asks "Where was Mary?", and a "no"
-that is not past asks "Who is in the kitchen?" for a contrast ("No,
-but John is."); "Does Mary have the milk?" asks "What is Mary holding?";
-any other polar question keeps the items a transfer question matches.
+value.  "Was Mary in the kitchen?" asks "Where was Mary?".  "Is Mary in
+the kitchen?" (or "Will Mary be ...?") reads one fold of every located
+entity's current position: Mary's answers it, and on a "no" the first
+other entity there is the contrast ("No, but John is.").  "Does Mary
+have the milk?" asks "What is Mary holding?"; any other polar question
+keeps the items a transfer question matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import SemqaError
 from .lexicon import Lexicon
@@ -116,8 +118,7 @@ class AnswerContent:
     aux_hint: str = "be"            # auxiliary family echoed in short answers
 
 
-@dataclass(frozen=True)
-class PositionEntry:
+class PositionEntry(NamedTuple):
     state: State
     polarity: str
     index: int
@@ -364,9 +365,7 @@ class ContextTracker:
             ls = states[0]
         entity, past = ls.arg2, ops.tense == "past"
         found, places = self._positions(entity, past)
-        curs = [found.get(m.sense, (None, None))[1] for m in entity.members or (entity,)]
-        # an entity's own current position; a bundle's, its members' common one
-        cur = curs[0] if len(curs) == 1 else _common(curs)
+        cur = _current(found, entity)
         if not past:
             if cur is None:
                 return AnswerContent("content", bindings=[], echo=ops, topic=entity)
@@ -394,36 +393,34 @@ class ContextTracker:
             return AnswerContent("polar", polarity="yes" if matched else "no",
                                  echo=ops, topic=next(iter(walk_referents(ls)), None),
                                  aux_hint="do", support=matched)
-        where = self._answer_where(ls, ops)
-        hit = next(((b, n) for b, n in zip(where.bindings, where.support)
-                    if _same_location(b, ls)), None)
-        contrast = None
+        entity, contrast = ls.arg2, None
         if ops.tense == "past":
-            support = [hit[1]] if hit else []
+            where = self._answer_where(ls, ops)
+            hit = next(((b, n) for b, n in zip(where.bindings, where.support)
+                        if _same_location(b, ls)), None)
+            bindings, support = ([hit[0]], [hit[1]]) if hit else ([], [])
             item_tense = self.items[hit[1] - 1].operators.tense if hit else None
-        else:
-            support, item_tense = where.support, where.item_tense
-            if hit is None:
-                who = self._answer_who_position(ls, ops)
-                for ref, n in zip(who.bindings, who.support):
-                    if not referent_matches(ref, ls.arg2):    # the asked one, or its member
+        else:       # one fold of every located entity gives the answer and the contrast
+            found = self._positions()[0]
+            cur = _current(found, entity)
+            support, item_tense = ([cur.index], cur.tense) if cur else ([], None)
+            bindings = [_position_value(cur.state)] \
+                if cur and _same_location(cur.state, ls) else []
+            if not bindings:
+                for ref, at in _located_at(found, ls):
+                    if not referent_matches(ref, entity):     # the asked one, or its member
                         contrast = ref
-                        support.append(n)
+                        support.append(at.index)
                         break
         return AnswerContent(
-            "polar", polarity="yes" if hit else "no", bindings=[hit[0]] if hit else [],
-            echo=ops, topic=where.topic, contrast=contrast, support=support,
-            item_tense=item_tense)
+            "polar", polarity="yes" if bindings else "no", bindings=bindings, echo=ops,
+            topic=entity, contrast=contrast, support=support, item_tense=item_tense)
 
     def _answer_who_position(self, ls: State, ops: OperatorSet) -> AnswerContent:
         """Entities whose current position matches the queried location."""
-        bindings = []
-        support = []
-        for ref, cur in self._positions()[0].values():
-            if cur is not None and _same_location(cur.state, ls):
-                bindings.append(ref)
-                support.append(cur.index)
-        return AnswerContent("content", bindings=bindings, echo=ops, support=support)
+        located = _located_at(self._positions()[0], ls)
+        return AnswerContent("content", bindings=[ref for ref, _ in located], echo=ops,
+                             support=[cur.index for _, cur in located])
 
     def _answer_held(self, ls, ops: OperatorSet, kind: str) -> AnswerContent:
         """The objects a named holder holds now: all of them for a "list",
@@ -508,6 +505,19 @@ def _advance(cur: PositionEntry | None, entry: PositionEntry) -> PositionEntry |
     if cur is not None and _same_location(cur.state, entry.state):
         return None
     return cur
+
+
+def _current(found: dict, ref: Referent) -> PositionEntry | None:
+    """`ref`'s current position in a `_positions` fold: an entity's own,
+    a bundle's its members' common one."""
+    curs = [found.get(m.sense, (None, None))[1] for m in ref.members or (ref,)]
+    return curs[0] if len(curs) == 1 else _common(curs)
+
+
+def _located_at(found: dict, place: State) -> list[tuple[Referent, PositionEntry]]:
+    """Who is at `place` now in a `_positions` fold, in first-seen order."""
+    return [(ref, cur) for ref, cur in found.values()
+            if cur is not None and _same_location(cur.state, place)]
 
 
 def _common(curs: list[PositionEntry | None]) -> PositionEntry | None:

@@ -376,22 +376,28 @@ def unify(q: Term, item: Term, lexicon=None) -> Optional[dict]:
     return None
 
 
-def walk_referents(term: Arg):
-    """Yield every referent in the term, left to right."""
+def walk_referents(term: Arg) -> list[Referent]:
+    """Every referent in the term, left to right, as a list."""
+    found: list[Referent] = []
+    _collect_referents(term, found)
+    return found
+
+
+def _collect_referents(term: Arg, found: list[Referent]):
     if isinstance(term, Referent):
-        yield term
+        found.append(term)
     elif isinstance(term, State):
-        yield from walk_referents(term.arg1)
-        yield from walk_referents(term.arg2)
+        _collect_referents(term.arg1, found)
+        _collect_referents(term.arg2, found)
     elif isinstance(term, Activity):
-        yield term.actor
+        found.append(term.actor)
         if term.undergoer is not None:
-            yield term.undergoer
+            found.append(term.undergoer)
     elif isinstance(term, Wrapped):
-        yield from walk_referents(term.inner)
+        _collect_referents(term.inner, found)
     elif isinstance(term, Linked):
-        yield from walk_referents(term.left)
-        yield from walk_referents(term.right)
+        _collect_referents(term.left, found)
+        _collect_referents(term.right, found)
 
 
 def antecedents(term: Arg, lexicon) -> tuple[tuple[str, Referent], ...]:

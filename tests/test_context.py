@@ -631,6 +631,36 @@ def test_bundle_position_follows_its_members(lex, matcher):
     assert (polar.polarity, polar.contrast) == ("no", None)
 
 
+@pytest.mark.parametrize("question, polarity, contrast, support", [
+    ("Is Mary in the garden?", "no", "r:john", [1, 2]),
+    ("Is Mary in the kitchen?", "yes", None, [1]),
+    ("Will Mary be in the garden?", "no", "r:john", [1, 2]),
+    ("Are Mary and John in the garden?", "no", "r:sandra", [3]),
+    ("Are John and Sandra in the garden?", "yes", None, [3]),
+])
+def test_a_present_polar_reads_the_positions_once(lex, matcher, monkeypatch, question,
+                                                  polarity, contrast, support):
+    # the answer and its contrast ("No, but John is.") come from one fold
+    t = ingest_all(matcher, make_tracker(lex), [
+        "Mary went to the kitchen.", "John went to the garden.", "Sandra went to the garden."])
+    reads = []
+    position_states = context._position_states
+
+    def counted(term, found=None):     # a top-level call only; it recurses with `found`
+        if found is None:
+            reads.append(term)
+        return position_states(term, found)
+
+    def forbidden(*args):
+        raise AssertionError("a polar question asked who is there")
+    monkeypatch.setattr(context, "_position_states", counted)
+    monkeypatch.setattr(ContextTracker, "_answer_who_position", forbidden)
+    content = answer(matcher, t, question)
+    assert (content.polarity, content.contrast and content.contrast.sense,
+            content.support) == (polarity, contrast, support)
+    assert reads == [item.ls for item in t.items]
+
+
 def test_negative_does_not_erase_history(lex, matcher):
     t = ingest_all(matcher, make_tracker(lex), ["Fred is no longer in the office."])
     past = answer(matcher, t, "Where was Fred?")

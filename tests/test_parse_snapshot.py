@@ -229,6 +229,38 @@ def test_fronted_questions_read_as_their_statements(lex):
     assert len(cells) == 168 and wrong == []
 
 
+# every `vc=` sense with a past form but the two states, with a subject
+# and a complement its frame accepts
+STATEMENT_VERBS = (
+    ("p:go", "Mary", " to the kitchen"), ("p:give", "Mary", " the milk to John"),
+    ("p:take", "Mary", " the milk from John"), ("p:get", "Mary", " the milk"),
+    ("p:pick-up", "Mary", " up the milk"), ("p:put-down", "Mary", " down the milk"),
+    ("p:drop", "Mary", " the milk"), ("p:discard", "Mary", " the milk"),
+    ("p:leave", "Mary", " the milk"), ("p:eat-chew", "Mary", " the apple"),
+    ("p:eat-erode", "The wind", " the mountain"), ("p:speak", "Mary", ""),
+    ("p:start", "Mary", " the car"), ("p:read", "Mary", " the book"),
+    ("p:write", "Mary", " the book"),
+)
+
+
+def test_statements_read_back_their_operators(lex):
+    # the realizer's verb group, parsed back, carries the operators it was made from
+    matcher = Matcher(lex)
+    wrong = []
+    for (pred, subject, complement), (tense, perfect, progressive, polarity) in \
+            itertools.product(STATEMENT_VERBS, OPERATOR_SETS):
+        ops = OperatorSet(tense=tense, perfect=perfect, progressive=progressive,
+                          polarity=polarity)
+        statement = f"{subject} {realize_verb_group(ops, pred, lex)}{complement}."
+        try:
+            said = matcher.parse_utterance(statement).operators
+        except SemqaError:
+            said = None
+        if said != ops:
+            wrong.append(parse_line(matcher, statement))
+    assert len(STATEMENT_VERBS) * len(OPERATOR_SETS) == 360 and wrong == []
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(build_parse_snapshot(semqa.load_core_lexicon()), "utf-8")
     print(f"wrote {GOLDEN}")

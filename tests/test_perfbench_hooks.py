@@ -64,3 +64,16 @@ def test_parse_cache_sits_behind_the_traced_parse(lex, monkeypatch):
     m.parse_single("Mary went to the kitchen.")
     m.parse_single("Mary went to the kitchen.")
     assert calls == {"parse_utterance": 2, "match_phrases": 1}
+
+
+def test_workloads_run_the_engine_calls(tracer, lex, synth):
+    # the calls each workload makes, once, on two small mixed stories
+    workloads = sys.modules["workloads"]
+    rng = synth.rng_for(1, "hooks")
+    stories = [synth.mixed_story(rng, 12, every=4, inject=True) for _ in range(2)]
+    inputs = workloads.Inputs(documents=[workloads._document(None, stories)], replay=stories)
+    tally = workloads.Tally()
+    workloads.batch_pass(lex, inputs, tally, workloads.Samples())
+    for story in stories:
+        workloads.repl_story(lex, semqa.Matcher(lex), story, tally, workloads.Latencies())
+    assert tally.failed == 0 and tally.attempted == 2 * len(inputs.documents[0].questions) == 12
