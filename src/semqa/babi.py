@@ -219,8 +219,8 @@ def audit_mismatch(result: RunResult, content: AnswerContent,
         return None, "no matching context items; engine or data gap"
     produced_norm = normalize_answer(result.produced)
     expected_norm = normalize_answer(result.expected)
-    heads = [normalize_answer(b.head()) if isinstance(b, Referent)
-             else normalize_answer(str(b)) for b in content.bindings]
+    heads = [normalize_answer(b.head() if isinstance(b, Referent) else b.arg1.head())
+             for b in content.bindings]      # a position binding is named by its place
     if produced_norm not in heads:
         return None, "produced answer not among matched items; engine error"
     if expected_norm not in heads[:-1]:

@@ -31,9 +31,12 @@ or future-tense question returns that position, a bundle's being its
 members' common one; a past-tense question takes, from the same pass,
 the list of places all its members were at at once.  Possession
 questions replay the have' ledger, one row per object: the item of its
-latest gain, or None once lost.  Transfer questions collect every
-matching item in context order (`latest_match` keeps only the last, as
-the bAbI datasets expect); an unspecified party is never an answer.
+latest gain, or None once lost.  Transfer questions make one loop over
+the items and collect every item `unify` matches, in context order
+(`latest_match` keeps only the last, as the bAbI datasets expect); an
+unspecified party is never an answer.  A negated item ("Mary did not
+give the milk to John.") asserts no change: the ledger and the loop
+skip it, and the position fold reads it as a negative entry.
 
 A polar question is its content twin plus a membership test: yes when
 the twin, answered by the one method for its view, binds the asked
@@ -41,8 +44,8 @@ value.  "Was Mary in the kitchen?" asks "Where was Mary?".  "Is Mary in
 the kitchen?" (or "Will Mary be ...?") reads one fold of every located
 entity's current position: Mary's answers it, and on a "no" the first
 other entity there is the contrast ("No, but John is.").  "Does Mary
-have the milk?" asks "What is Mary holding?"; any other polar question
-keeps the items a transfer question matches.
+have the milk?" reads Mary's ledger; any other polar question keeps the
+items the transfer loop matches.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ from .semantics import (
     bundle,
     map_referents,
     note_antecedent,
-    query,
     referent_matches,
     render,
     unify,
@@ -76,7 +78,6 @@ from .semantics import (
 
 # positional predicates, the unresolved be-LOC of a question included
 _POSITION_PREDS = POSITION_PREDS | {ANY_POSITION_PRED}
-_WHAT = query("what")
 
 
 class ContextError(SemqaError):
@@ -309,6 +310,8 @@ class ContextTracker:
         """
         ledger: list[list] = []   # [obj referent, item of the latest gain or None]
         for n, item in enumerate(self.items, 1):
+            if item.operators.polarity == "negative":     # a negated clause changes nothing
+                continue
             for ev in have_events(item.ls):
                 if ev.party.kind == "unspecified":
                     continue
@@ -365,7 +368,7 @@ class ContextTracker:
             ls = states[0]
         entity, past = ls.arg2, ops.tense == "past"
         found, places = self._positions(entity, past)
-        cur = _current(found, entity)
+        cur = _common(_member_positions(found, entity))
         if not past:
             if cur is None:
                 return AnswerContent("content", bindings=[], echo=ops, topic=entity)
@@ -381,11 +384,10 @@ class ContextTracker:
     def _answer_polar(self, ls, ops: OperatorSet) -> AnswerContent:
         """Yes when the content twin binds the asked value (see the module
         docstring).  A position answer cites the asked entity's current
-        position, even on a "no", or in the past tense the matching place;
-        only its "yes" carries a binding."""
+        position (a bundle apart, its members'), even on a "no", or in the
+        past tense the matching place; only its "yes" carries a binding."""
         if isinstance(ls, State) and ls.pred == HAVE_PRED:
-            held = self._answer_held(State(HAVE_PRED, ls.arg1, _WHAT), ops, "list")
-            yes = any(obj.sense == ls.arg2.sense for obj in held.bindings)
+            yes = any(obj.sense == ls.arg2.sense for obj, _ in self.held_now(ls.arg1))
             return AnswerContent("polar", polarity="yes" if yes else "no",
                                  echo=ops, topic=ls.arg1, aux_hint="do")
         if not (isinstance(ls, State) and ls.pred in _POSITION_PREDS):
@@ -402,8 +404,10 @@ class ContextTracker:
             item_tense = self.items[hit[1] - 1].operators.tense if hit else None
         else:       # one fold of every located entity gives the answer and the contrast
             found = self._positions()[0]
-            cur = _current(found, entity)
-            support, item_tense = ([cur.index], cur.tense) if cur else ([], None)
+            curs = _member_positions(found, entity)
+            cur = _common(curs)
+            support, item_tense = ([cur.index], cur.tense) if cur else \
+                (sorted({c.index for c in curs if c}), None)
             bindings = [_position_value(cur.state)] \
                 if cur and _same_location(cur.state, ls) else []
             if not bindings:
@@ -439,32 +443,27 @@ class ContextTracker:
 
     def _answer_transfer(self, ls, ops: OperatorSet, focus: str | None,
                          wanted: list[HaveEvent]) -> AnswerContent:
-        """The items that match a transfer question, whose have' leaves are
-        `wanted`, in context order.  A bare BECOME have' question (one
-        positive have' leaf, no CAUSE) matches each item's receive
-        candidates; any other unifies with each item.  An unspecified
+        """The items that `unify` matches with a transfer question, whose
+        have' leaves are `wanted`, in context order; a negated item asserts
+        no change and matches nothing.  Under strict receiving, a bare gain
+        question (one positive have' leaf, no CAUSE) skips an item with no
+        receive candidate, such as a self-acquisition.  An unspecified
         party ("The milk was given to John.") answers nothing."""
+        strict = self.config.strict_receive and len(wanted) == 1 and wanted[0].positive \
+            and not (isinstance(ls, Linked) and ls.link == "CAUSE")
         bindings: list[Referent] = []
         support: list[int] = []
-        if len(wanted) == 1 and wanted[0].positive \
-                and not (isinstance(ls, Linked) and ls.link == "CAUSE"):
-            q = wanted[0]
-            for n, item in enumerate(self.items, 1):
-                for ev in item_receive_candidates(item.ls, self.config.strict_receive):
-                    if referent_matches(q.party, ev.party) and referent_matches(q.obj, ev.obj):
-                        bindings.append(ev.party if q.party.is_query else ev.obj)
-                        support.append(n)
-        else:
-            for n, item in enumerate(self.items, 1):
-                result = unify(ls, item.ls, self.lexicon)
-                if result is None:
-                    continue
-                value = result.get(focus)
-                if focus is None:       # polar: cite every match
-                    support.append(n)
-                elif isinstance(value, Referent) and value.kind != "unspecified":
-                    bindings.append(value)
-                    support.append(n)
+        for n, item in enumerate(self.items, 1):
+            result = unify(ls, item.ls, self.lexicon)
+            if result is None or item.operators.polarity == "negative" \
+                    or strict and not item_receive_candidates(item.ls, True):
+                continue
+            value = result.get(focus)
+            if focus is None:       # polar: cite every match
+                support.append(n)
+            elif isinstance(value, Referent) and value.kind != "unspecified":
+                bindings.append(value)
+                support.append(n)
         topic = next((r for r in walk_referents(ls)
                       if r.kind in ("entity", "bundle")), None)
         return AnswerContent("transfer", bindings=bindings, echo=ops, topic=topic,
@@ -507,11 +506,10 @@ def _advance(cur: PositionEntry | None, entry: PositionEntry) -> PositionEntry |
     return cur
 
 
-def _current(found: dict, ref: Referent) -> PositionEntry | None:
-    """`ref`'s current position in a `_positions` fold: an entity's own,
-    a bundle's its members' common one."""
-    curs = [found.get(m.sense, (None, None))[1] for m in ref.members or (ref,)]
-    return curs[0] if len(curs) == 1 else _common(curs)
+def _member_positions(found: dict, ref: Referent) -> list[PositionEntry | None]:
+    """The current position of an entity, or of each member of a bundle,
+    in a `_positions` fold; `_common` of them is `ref`'s own."""
+    return [found.get(m.sense, (None, None))[1] for m in ref.members or (ref,)]
 
 
 def _located_at(found: dict, place: State) -> list[tuple[Referent, PositionEntry]]:
@@ -521,8 +519,8 @@ def _located_at(found: dict, place: State) -> list[tuple[Referent, PositionEntry
 
 
 def _common(curs: list[PositionEntry | None]) -> PositionEntry | None:
-    """The members' common current position, the latest of their entries,
-    or None when one has none or they are apart."""
+    """The members' common current position, the latest of their entries
+    (one member's own), or None when one has none or they are apart."""
     if None in curs or not all(_same_location(c.state, curs[0].state) for c in curs):
         return None
     return max(curs, key=lambda c: c.index)

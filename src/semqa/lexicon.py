@@ -514,9 +514,12 @@ def _parse_phrase(parts: list[str], line: int, parsed: dict[str, Selector]) -> P
             raise LexiconError(f"pattern {pid!r} would not reduce the element count", line)
         if rec.retain != "bundle" and rec.retain not in range(1, n + 1):
             raise LexiconError(f"pattern {pid!r} retains no element of its window", line)
-        # the matcher reads a verb off its form; a consolidation cannot make one
+        # the matcher reads a verb and its operators off its form; a
+        # consolidation cannot make a verb, and adds an operator with ops=
         if any(a.startswith("vc=") for a in rec.attrs):
             raise LexiconError(f"consolidation {pid!r} adds a vc= template in attrs=", line)
+        if any(a.startswith("op=") for a in rec.attrs):
+            raise LexiconError(f"consolidation {pid!r} adds an op= in attrs=; use ops=", line)
         _check_pos(rec.attrs, line)
     return rec
 

@@ -191,9 +191,9 @@ class Element:
     `senses`, `ids`, `cats`, `reach` and `verb` are shared with the
     matcher's prototype element of its token (or, for a bundle, derived
     from its members) and never change; labels, attributes and ops grow
-    as phrases consolidate.
-    No attribute added later names a `vc=` template (the loader rejects
-    a consolidation whose `attrs=` would), so `verb` stays exact."""
+    as phrases consolidate; a form's ops are its `op=` attributes.
+    No attribute added later names a `vc=` template or an operator (the
+    loader rejects such `attrs=`), so `verb` and `ops` stay exact."""
 
     surface: str
     senses: tuple[tuple[str, frozenset[str]], ...] = ()
@@ -448,6 +448,7 @@ class Matcher:
         form = Element(surface, tuple(senses), frozenset(s for s, _ in senses),
                        frozenset(lex.sense(s).category for s, _ in senses),
                        frozenset(reach), attributes=attributes,
+                       ops={a[3:] for a in attributes if a.startswith("op=")},
                        verb=any(a.startswith("vc=") for a in attributes))
         form.openers = self._openers(form)
         return self._forms.setdefault(surface, form)
@@ -521,9 +522,6 @@ class Matcher:
                 continue
             result.constituents.append(w)
             result.ops |= w.ops
-            for a in w.attributes:
-                if a.startswith("op="):
-                    result.ops.add(a[3:])
         for idx, label in pat.labels:
             if idx == pat.retain:
                 result.labels.add(label)

@@ -103,7 +103,7 @@ def test_run_split_picks_files_and_fails_on_a_wrong_answer(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "qa2_train" not in out
     assert "  [FAIL] story 1 line 2: Where is Mary? -> kitchen (expected garden)\n" \
-           "        produced answer not among matched items" in out
+           "        expected answer never matched in context" in out
     assert main([*argv, "--split", "train"]) == 0
     assert "qa2_test" not in capsys.readouterr().out
     with pytest.raises(SystemExit, match="no files match .*qa3_"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import random
 from dataclasses import replace
@@ -8,21 +9,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ingest_all, make_tracker
+from test_parse_snapshot import corpus
 from semqa import context
 from semqa.context import (
     ContextError,
     ContextTracker,
     PositionEntry,
     PronounResolutionError,
+    QueryConfig,
     UnsupportedQuestionError,
     have_events,
+    item_receive_candidates,
     latest_match,
     trace_line,
 )
+from semqa.errors import SemqaError
 from semqa.lexicon import Lexicon, LexiconError
-from semqa.matcher import MeaninglessError, Proposition
+from semqa.matcher import Matcher, MeaninglessError, Proposition
 from semqa.nlg import RealizationRequest, realize_answer
 from semqa.semantics import (
+    Linked,
     State,
     antecedents,
     bundle,
@@ -635,7 +641,7 @@ def test_bundle_position_follows_its_members(lex, matcher):
     ("Is Mary in the garden?", "no", "r:john", [1, 2]),
     ("Is Mary in the kitchen?", "yes", None, [1]),
     ("Will Mary be in the garden?", "no", "r:john", [1, 2]),
-    ("Are Mary and John in the garden?", "no", "r:sandra", [3]),
+    ("Are Mary and John in the garden?", "no", "r:sandra", [1, 2, 3]),
     ("Are John and Sandra in the garden?", "yes", None, [3]),
 ])
 def test_a_present_polar_reads_the_positions_once(lex, matcher, monkeypatch, question,
@@ -766,6 +772,7 @@ def test_handover_answers(lex, matcher, question, keyword, support):
 
 PASSIVE_GIVE = ["The milk was given to Mary."]   # the giver is left unspecified
 PASSIVE_JOHN = ["The milk was given to John."]
+GIVE_NOT = ["Mary picked up the milk.", "Mary did not give the milk to John."]
 
 
 @pytest.mark.parametrize("story, question, expected", [
@@ -805,6 +812,15 @@ PASSIVE_JOHN = ["The milk was given to John."]
     (PASSIVE_JOHN, "Who gave the milk to John?", "unknown"),
     (["Mary gave the milk."], "Who did Mary give the milk to?", "unknown"),
     (["Mary gave the milk to John."] + PASSIVE_JOHN, "Who gave the milk to John?", "mary"),
+    # a negated clause asserts no change
+    (["Mary picked up the milk.", "Mary did not drop the milk."], "What is Mary holding?",
+     "milk"),
+    (GIVE_NOT, "What is John holding?", "nothing"),
+    (GIVE_NOT, "What is Mary holding?", "milk"),
+    (GIVE_NOT, "Did Mary give the milk to John?", "no"),
+    (GIVE_NOT, "Who did Mary give the milk to?", "unknown"),
+    (["Mary did not go to the kitchen."], "Did Mary go to the kitchen?", "no"),
+    (["Mary did not eat the apple."], "Did Mary eat the apple?", "no"),
 ])
 def test_story_answer_or_typed_error(lex, matcher, story, question, expected):
     def keyword_answer():
@@ -824,6 +840,64 @@ def test_strict_receive_denies_a_self_acquisition_on_a_polar_question(lex, match
     t = ingest_all(matcher, make_tracker(lex, strict_receive=True), HANDOVER)
     assert answer(matcher, t, "Did Mary receive the milk?").polarity == "no"
     assert answer(matcher, t, "Did John receive the milk?").polarity == "yes"
+
+
+def receive_rule(items, question, strict: bool):
+    """The rule the item loop replaced for a bare gain question (one
+    positive have' leaf, no CAUSE), with the negation rule: each gain
+    among a positive item's receive candidates that matches the
+    question's leaf, in context order, as (bindings, support)."""
+    [want] = have_events(question.ls)
+    bindings, support = [], []
+    for n, item in enumerate(items, 1):
+        if item.operators.polarity == "negative":
+            continue
+        for ev in item_receive_candidates(item.ls, strict):
+            if referent_matches(want.party, ev.party) and referent_matches(want.obj, ev.obj):
+                bindings.append(ev.party if want.party.is_query else ev.obj)
+                support.append(n)
+    return bindings, support
+
+
+class LoopTracker(ContextTracker):
+    """A tracker that keeps what its item loop last answered."""
+
+    looped = None
+
+    def _answer_transfer(self, *args):
+        self.looped = super()._answer_transfer(*args)
+        return self.looped
+
+
+def test_the_item_loop_answers_bare_gains_as_the_receive_rule(lex):
+    matcher, props = Matcher(lex), []
+    for text in corpus(lex):
+        with contextlib.suppress(SemqaError):
+            props.append(matcher.parse_single(text))
+    statements = [p for p in props
+                  if p.operators.force == "statement" and p.antecedents is not None]
+    gains = [p for p in props if p.operators.force == "question"
+             and [e.positive for e in have_events(p.ls)] == [True]
+             and not (isinstance(p.ls, Linked) and p.ls.link == "CAUSE")]
+    looped, matched = set(), {False: 0, True: 0}
+    for strict in (False, True):
+        for statement in statements:
+            t = LoopTracker(lex, QueryConfig(strict_receive=strict))
+            t.ingest(statement)
+            for question in gains:
+                t.looped = None
+                with contextlib.suppress(UnsupportedQuestionError):
+                    t.answer_question(question)
+                if t.looped is None:        # answered by another view ("Where ...?")
+                    continue
+                looped.add(question.source)
+                expected = receive_rule(t.items, question, strict)
+                assert (t.looped.bindings, t.looped.support) == expected, \
+                    (strict, statement.source, question.source)
+                matched[strict] += bool(expected[1])
+    assert len(statements) > 600 and len(looped) == 7
+    # strict receiving drops the self-acquisitions
+    assert 0 < matched[True] < matched[False]
 
 
 def _cited(twin, keep):

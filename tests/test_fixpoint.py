@@ -16,6 +16,7 @@ import random
 import pytest
 
 import semqa
+from semqa import matcher as matcher_module
 from semqa.babi import parse_babi_file
 from semqa.matcher import MatchError, Matcher, tokenize
 from semqa.nlg import realize_verb_group
@@ -211,3 +212,24 @@ def test_pronoun_flag_equals_a_walk(lex, sentences):
             assert (prop.antecedents is None) == holds, text
             seen[holds] += 1
     assert seen[True] > 20 and seen[False] > 200 and embedded > 4
+
+
+def test_the_fixpoint_is_linear_in_its_tokens(lex, monkeypatch):
+    """Resuming just before the last firing keeps the selector tests
+    linear: twice the tokens cost twice the tests.  Rescanning from the
+    start costs four times as many ("the kitchen" x 1,000 makes 502,503
+    tests where it makes 5,000)."""
+    counted = 0
+    selector_matches = matcher_module._selector_matches
+
+    def counting(sel, el):
+        nonlocal counted
+        counted += 1
+        return selector_matches(sel, el)
+    monkeypatch.setattr(matcher_module, "_selector_matches", counting)
+    tests = []
+    for repeats in (500, 1000):
+        counted = 0
+        assert len(Matcher(lex).match_phrases(["the", "kitchen"] * repeats)) == repeats
+        tests.append(counted)
+    assert tests[1] <= 2.2 * tests[0]

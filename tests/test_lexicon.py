@@ -301,6 +301,17 @@ def test_consolidation_cannot_add_a_template(attrs):
         load_lexicon(bad)
 
 
+def test_consolidation_cannot_add_an_operator():
+    # an element's ops come from its form's op= attributes and from ops=
+    text = semqa.core_lexicon_text()
+    lineno = _line_of(text, "phrase count-ref ")
+    bad = text.replace("retain=1 attrs=counted", "retain=1 attrs=counted,op=negative", 1)
+    assert bad != text
+    with pytest.raises(LexiconError, match=f"line {lineno}: consolidation 'count-ref' "
+                                           "adds an op= in attrs=; use ops="):
+        load_lexicon(bad)
+
+
 @pytest.mark.parametrize("record, message", [
     ("phrase p literal trigger=a sel:word=a sel:word=b&attr=x emit=r:x",
      "literal 'p' has a selector that is not one word="),
